@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import IllConditionedFit
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, subspace_sphere_magnitude_quadrature
-from .spheres import intrinsic_volume_sphere, omega, sigma, sphere_magnitude_closed
+from .spheres import curvature_coefficient, sphere_magnitude_closed, volume_coefficient
 
 
 @dataclass(frozen=True)
@@ -94,14 +94,8 @@ def predicted_expansion_intrinsic_sphere(n: int) -> AsymptoticExpansion:
     n = int(n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    lead = sigma(n) / (math.factorial(n) * omega(n))
-    sub = (
-        (n + 1)
-        * intrinsic_volume_sphere(n - 2, n, 1.0)
-        / (3.0 * math.factorial(n - 1) * omega(n - 2))
-    )
     return AsymptoticExpansion(
-        terms=((n, lead), (n - 1, 0.0), (n - 2, sub)),
+        terms=((n, volume_coefficient(n)), (n - 1, 0.0), (n - 2, curvature_coefficient(n))),
         error_order=n - 4,
     )
 
@@ -256,7 +250,7 @@ def extract_subspace_relative_correction(
     n = int(n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    lead = sigma(n) / (math.factorial(n) * omega(n))
+    lead = volume_coefficient(n)
 
     def centered(R):
         ratio = subspace_sphere_magnitude_quadrature(n, R, cfg) / (lead * R**n)

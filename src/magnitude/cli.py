@@ -1,16 +1,19 @@
 """Command-line front end: one subcommand per computation plus CSV sweeps.
 
+Every valid (space, method) pair is one entry of EVALUATORS, which both the
+single-value subcommands and `sweep` call: a sweep row at x holds the number
+the matching subcommand prints at x.
+
 Exit codes: 0 on success, 2 on input errors (including argparse failures),
-3 on numerical failures (SingularSystem, NoConvergence, IllConditionedFit),
-with the failure named on stderr.  All numbers are printed with 17
-significant digits so doubles round-trip exactly.
+3 on numerical failures, taken from MagnitudeError.exit_code (ValueError and
+OSError exit 2), with the failure named on stderr.  All numbers are printed
+with 17 significant digits so doubles round-trip exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -18,19 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics, finite, line, quadrature, spheres
-from .errors import (
-    IllConditionedFit,
-    MagnitudeError,
-    NoConvergence,
-    SingularSystem,
-)
+from .errors import MagnitudeError
 
 #: Environment variable overriding the default tolerance of every subcommand.
 TOL_ENV_VAR = "MAGNITUDE_DEFAULT_TOL"
 
 CSV_HEADER = ("space", "param_name", "param_value", "method", "magnitude", "error_estimate")
 
-_SPACES = ("finite-file", "interval", "cantor", "circle", "sphere-intrinsic", "sphere-subspace")
 _PARAM_NAMES = {
     "finite-file": "scale",
     "interval": "length",
@@ -75,58 +72,117 @@ def _cmd_finite(args) -> int:
     return 0
 
 
-def _cmd_interval(args) -> int:
-    if args.approx is None:
-        _, measure = line.interval_weight_measure(args.length)
-        value = line.measure_total_mass(measure)
-    else:
-        space, _ = line.interval_weight_measure(args.length)
-        X = line.finite_approx_line(space, args.approx)
-        value = finite.magnitude_finite(X, _solver_tol(args.tol))
-    print(_fmt(value))
+def _solve(X, tol):
+    w = finite.weighting(X, _solver_tol(tol))
+    return float(w.w.sum()), w.residual_norm / w.rcond
+
+
+def _quadrature(quotient, dim, R, tol):
+    cfg = _quad_config(tol)
+    mag = quotient(dim, R, cfg)
+    return mag, 2.0 * cfg.rel_tol * abs(mag)
+
+
+def _finite_file(t, dim, n, tol, loaded):
+    return _solve(finite.scale(loaded, t), tol)
+
+
+def _interval_closed(length, dim, n, tol, loaded):
+    _, measure = line.interval_weight_measure(length)
+    return line.measure_total_mass(measure), 0.0
+
+
+def _interval_finite(length, dim, n, tol, loaded):
+    space, _ = line.interval_weight_measure(length)
+    return _solve(line.finite_approx_line(space, n), tol)
+
+
+def _cantor_closed(length, dim, n, tol, loaded):
+    tol = _solver_tol(tol)
+    return line.cantor_magnitude_series(length, tol), tol
+
+
+def _cantor_finite(length, dim, depth, tol, loaded):
+    # The integer selects the construction depth of the carrier.
+    return _solve(line.finite_approx_line(line.cantor_level_set(length, depth), 2), tol)
+
+
+def _circle_closed(circumference, dim, n, tol, loaded):
+    return quadrature.circle_magnitude_closed(circumference), 0.0
+
+
+def _circle_finite(circumference, dim, n, tol, loaded):
+    X = finite.circle_points(circumference, n)
+    return finite.magnitude_homogeneous_finite(X, tol=1e-8), 0.0
+
+
+def _intrinsic_closed(R, dim, n, tol, loaded):
+    return spheres.sphere_magnitude_closed(dim, R), 0.0
+
+
+def _intrinsic_quadrature(R, dim, n, tol, loaded):
+    return _quadrature(quadrature.sphere_magnitude_quadrature, dim, R, tol)
+
+
+def _subspace_closed(R, dim, n, tol, loaded):
+    if dim != 2:
+        raise ValueError(
+            "closed form for the subspace metric exists only for --dim 2; "
+            "use --method quadrature"
+        )
+    return quadrature.subspace_sphere2_closed(R), 0.0
+
+
+def _subspace_quadrature(R, dim, n, tol, loaded):
+    return _quadrature(quadrature.subspace_sphere_magnitude_quadrature, dim, R, tol)
+
+
+#: The valid (space, method kind) pairs, "finite" standing for finite-N.  Each
+#: maps (swept parameter, dim, N, tol, loaded matrix) to (magnitude, error
+#: estimate), looking library functions up on their module at call time so
+#: that wrappers installed there (tracing, test doubles) apply.
+EVALUATORS = {
+    ("finite-file", "closed"): _finite_file,
+    ("interval", "closed"): _interval_closed,
+    ("interval", "finite"): _interval_finite,
+    ("cantor", "closed"): _cantor_closed,
+    ("cantor", "finite"): _cantor_finite,
+    ("circle", "closed"): _circle_closed,
+    ("circle", "finite"): _circle_finite,
+    ("sphere-intrinsic", "closed"): _intrinsic_closed,
+    ("sphere-intrinsic", "quadrature"): _intrinsic_quadrature,
+    ("sphere-subspace", "closed"): _subspace_closed,
+    ("sphere-subspace", "quadrature"): _subspace_quadrature,
+}
+
+
+def _print_magnitude(space, method, x, dim=None, n=None, tol=None) -> int:
+    magnitude, _ = EVALUATORS[space, method](x, dim, n, tol, None)
+    print(_fmt(magnitude))
     return 0
 
 
+def _cmd_interval(args) -> int:
+    method = "closed" if args.approx is None else "finite"
+    return _print_magnitude("interval", method, args.length, n=args.approx, tol=args.tol)
+
+
 def _cmd_cantor(args) -> int:
-    if args.iterative:
-        if args.depth is None:
-            raise ValueError("--iterative requires --depth")
-        value = line.cantor_magnitude_iterative(args.length, args.depth)
-    else:
-        value = line.cantor_magnitude_series(args.length, _solver_tol(args.tol))
-    print(_fmt(value))
+    if not args.iterative:
+        return _print_magnitude("cantor", "closed", args.length, tol=args.tol)
+    if args.depth is None:
+        raise ValueError("--iterative requires --depth")
+    print(_fmt(line.cantor_magnitude_iterative(args.length, args.depth)))
     return 0
 
 
 def _cmd_circle(args) -> int:
-    if args.points is None:
-        value = quadrature.circle_magnitude_closed(args.circumference)
-    else:
-        X = finite.circle_points(args.circumference, args.points)
-        value = finite.magnitude_homogeneous_finite(X, tol=1e-8)
-    print(_fmt(value))
-    return 0
+    method = "closed" if args.points is None else "finite"
+    return _print_magnitude("circle", method, args.circumference, n=args.points)
 
 
 def _cmd_sphere(args) -> int:
-    n, R = args.dim, args.radius
-    if args.metric == "intrinsic":
-        if args.method == "closed":
-            value = spheres.sphere_magnitude_closed(n, R)
-        else:
-            value = quadrature.sphere_magnitude_quadrature(n, R, _quad_config(args.tol))
-    else:
-        if args.method == "closed":
-            if n != 2:
-                raise ValueError(
-                    "closed form for the subspace metric exists only for --dim 2; "
-                    "use --method quadrature"
-                )
-            value = quadrature.subspace_sphere2_closed(R)
-        else:
-            value = quadrature.subspace_sphere_magnitude_quadrature(n, R, _quad_config(args.tol))
-    print(_fmt(value))
-    return 0
+    return _print_magnitude(f"sphere-{args.metric}", args.method, args.radius, args.dim, tol=args.tol)
 
 
 def _geometric_grid(tmin: float, tmax: float) -> list[float]:
@@ -164,7 +220,7 @@ def _cmd_asymptotics(args) -> int:
         if not 1 <= args.orders <= 2:
             raise ValueError("--orders must be 1 or 2 for the subspace metric")
         cfg = _quad_config(args.tol)
-        lead = spheres.sigma(n) / (math.factorial(n) * spheres.omega(n))
+        lead = spheres.volume_coefficient(n)
         ratio = asymptotics.extract_coefficients(
             lambda R: quadrature.subspace_sphere_magnitude_quadrature(n, R, cfg) / (lead * R**n),
             0, 2, 1, grid,
@@ -230,13 +286,12 @@ def parse_sweep_spec(path) -> SweepSpec:
             raise ValueError(f"{path}: missing required key {key!r}")
 
     space = fields["space"]
-    if space not in _SPACES:
-        raise ValueError(f"{path}: space must be one of {', '.join(_SPACES)}; got {space!r}")
+    if space not in _PARAM_NAMES:
+        raise ValueError(f"{path}: space must be one of {', '.join(_PARAM_NAMES)}; got {space!r}")
     method = fields["method"]
-    if not (method in ("closed", "quadrature") or _finite_method_n(method) is not None):
-        raise ValueError(
-            f"{path}: method must be closed, quadrature, or finite-N; got {method!r}"
-        )
+    if (space, _method_kind(method)[0]) not in EVALUATORS:
+        valid = " or ".join(m.replace("finite", "finite-N") for s, m in EVALUATORS if s == space)
+        raise ValueError(f"{path}: method for space {space!r} must be {valid}; got {method!r}")
     try:
         start = float(fields["start"])
         stop = float(fields["stop"])
@@ -265,7 +320,7 @@ def parse_sweep_spec(path) -> SweepSpec:
         matrix = fields["matrix"]
     tol = float(fields["tol"]) if "tol" in fields else None
 
-    spec = SweepSpec(
+    return SweepSpec(
         space=space,
         param_name=_PARAM_NAMES[space],
         start=start,
@@ -277,80 +332,30 @@ def parse_sweep_spec(path) -> SweepSpec:
         matrix=matrix,
         tol=tol,
     )
-    _validate_method_for_space(spec)
-    return spec
 
 
-def _finite_method_n(method: str) -> int | None:
+def _method_kind(method: str) -> tuple[str, int | None]:
+    """("finite", N) for a finite-N method with N >= 2, else (method, None)."""
     if method.startswith("finite-"):
         try:
             n = int(method[len("finite-"):])
         except ValueError:
-            return None
-        return n if n >= 2 else None
-    return None
-
-
-def _validate_method_for_space(spec: SweepSpec):
-    finite_n = _finite_method_n(spec.method)
-    ok = {
-        "finite-file": spec.method == "closed",  # re-solving the scaled input file
-        "interval": spec.method == "closed" or finite_n is not None,
-        "cantor": spec.method == "closed" or finite_n is not None,
-        "circle": spec.method == "closed" or finite_n is not None,
-        "sphere-intrinsic": spec.method in ("closed", "quadrature"),
-        "sphere-subspace": spec.method == "quadrature"
-        or (spec.method == "closed" and spec.dim == 2),
-    }[spec.space]
-    if not ok:
-        raise ValueError(f"method {spec.method!r} is not valid for space {spec.space!r}")
-
-
-def _sweep_row(spec: SweepSpec, value: float, loaded) -> tuple[float, float]:
-    """Magnitude and error estimate at one grid value."""
-    finite_n = _finite_method_n(spec.method)
-    solver_tol = _solver_tol(spec.tol)
-    if spec.space == "finite-file":
-        w = finite.weighting(finite.scale(loaded, value), solver_tol)
-        return float(w.w.sum()), w.residual_norm / w.rcond
-    if spec.space == "interval":
-        if finite_n is not None:
-            space, _ = line.interval_weight_measure(value)
-            w = finite.weighting(line.finite_approx_line(space, finite_n), solver_tol)
-            return float(w.w.sum()), w.residual_norm / w.rcond
-        _, measure = line.interval_weight_measure(value)
-        return line.measure_total_mass(measure), 0.0
-    if spec.space == "cantor":
-        if finite_n is not None:
-            # The integer selects the construction depth of the carrier.
-            X = line.finite_approx_line(line.cantor_level_set(value, finite_n), 2)
-            w = finite.weighting(X, solver_tol)
-            return float(w.w.sum()), w.residual_norm / w.rcond
-        return line.cantor_magnitude_series(value, solver_tol), solver_tol
-    if spec.space == "circle":
-        if finite_n is not None:
-            X = finite.circle_points(value, finite_n)
-            return finite.magnitude_homogeneous_finite(X, tol=1e-8), 0.0
-        return quadrature.circle_magnitude_closed(value), 0.0
-    cfg = _quad_config(spec.tol)
-    if spec.space == "sphere-intrinsic":
-        if spec.method == "closed":
-            return spheres.sphere_magnitude_closed(spec.dim, value), 0.0
-        mag = quadrature.sphere_magnitude_quadrature(spec.dim, value, cfg)
-        return mag, 2.0 * cfg.rel_tol * abs(mag)
-    if spec.method == "closed":
-        return quadrature.subspace_sphere2_closed(value), 0.0
-    mag = quadrature.subspace_sphere_magnitude_quadrature(spec.dim, value, cfg)
-    return mag, 2.0 * cfg.rel_tol * abs(mag)
+            return method, None
+        if n >= 2:
+            return "finite", n
+    return method, None
 
 
 def _cmd_sweep(args) -> int:
     spec = parse_sweep_spec(args.spec)
+    kind, n = _method_kind(spec.method)
+    evaluate = EVALUATORS[spec.space, kind]
     loaded = finite.read_distance_matrix(spec.matrix) if spec.matrix is not None else None
+    _solver_tol(spec.tol)  # reject a malformed MAGNITUDE_DEFAULT_TOL even if the method ignores it
     rows = []
     for value in spec.grid():
         value = float(value)
-        mag, err = _sweep_row(spec, value, loaded)
+        mag, err = evaluate(value, spec.dim, n, spec.tol, loaded)
         rows.append((spec.space, spec.param_name, _fmt(value), spec.method, _fmt(mag), _fmt(err)))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -434,15 +439,9 @@ def run(argv) -> int:
         return int(code) if code is not None else 0
     try:
         return args.func(args)
-    except (SingularSystem, NoConvergence, IllConditionedFit) as exc:
+    except (MagnitudeError, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except (MagnitudeError, ValueError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 def main() -> None:

@@ -4,9 +4,13 @@
 class MagnitudeError(Exception):
     """Base class for every error raised by this package."""
 
+    exit_code = 2  # command-line exit status; numerical failures use 3
+
 
 class SingularSystem(MagnitudeError):
     """The similarity matrix cannot be solved reliably at the requested tolerance."""
+
+    exit_code = 3
 
 
 class NotHomogeneous(MagnitudeError):
@@ -40,6 +44,8 @@ class TooFewPoints(MagnitudeError, ValueError):
 class NoConvergence(MagnitudeError):
     """Quadrature failed to reach the requested tolerance."""
 
+    exit_code = 3
+
 
 class IndexOutOfRange(MagnitudeError, ValueError):
     """Intrinsic volume index must satisfy 0 <= i <= n."""
@@ -51,3 +57,5 @@ class EpsilonTooLarge(MagnitudeError, ValueError):
 
 class IllConditionedFit(MagnitudeError):
     """Extrapolation spread exceeded the requested coefficient tolerance."""
+
+    exit_code = 3

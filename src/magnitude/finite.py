@@ -199,11 +199,8 @@ def circle_points(circumference: float, n: int) -> FiniteMetricSpace:
     return FiniteMetricSpace(steps * (circumference / n), check_triangle=False)
 
 
-def read_distance_matrix(path) -> FiniteMetricSpace:
-    """Load a distance matrix from CSV: one row per line, comma-separated.
-
-    Validation errors name the offending row and column (1-based).
-    """
+def _read_csv_rows(path) -> list[tuple[int, list[float]]]:
+    """Non-blank lines of a numeric CSV file as (line number, values) pairs."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -221,6 +218,15 @@ def read_distance_matrix(path) -> FiniteMetricSpace:
             rows.append((lineno, entries))
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    return rows
+
+
+def read_distance_matrix(path) -> FiniteMetricSpace:
+    """Load a distance matrix from CSV: one row per line, comma-separated.
+
+    Validation errors name the offending row and column (1-based).
+    """
+    rows = _read_csv_rows(path)
     n = len(rows)
     for lineno, entries in rows:
         if len(entries) != n:
@@ -232,23 +238,7 @@ def read_distance_matrix(path) -> FiniteMetricSpace:
 
 def read_point_cloud(path) -> FiniteMetricSpace:
     """Load a Euclidean point cloud from CSV: one point per line."""
-    pts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            coords = []
-            for col, tok in enumerate(line.split(","), start=1):
-                try:
-                    coords.append(float(tok))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {lineno}, column {col}: not a number: {tok.strip()!r}"
-                    ) from None
-            pts.append((lineno, coords))
-    if not pts:
-        raise ValueError(f"{path}: no data rows")
+    pts = _read_csv_rows(path)
     dim = len(pts[0][1])
     for lineno, coords in pts:
         if len(coords) != dim:

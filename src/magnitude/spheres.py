@@ -197,26 +197,33 @@ def penguin_valuation_sphere(n: int, R: float) -> float:
     )
 
 
+def volume_coefficient(n: int) -> float:
+    """Volume term sigma_n / (n! omega_n): the R^n coefficient of |S^n_R|."""
+    return sigma(n) / (math.factorial(n) * omega(n))
+
+
+def curvature_coefficient(n: int) -> float:
+    """Curvature term (n+1) mu_{n-2}(S^n_1) / (3 (n-1)! omega_{n-2}): R^{n-2} coefficient."""
+    return (
+        (n + 1)
+        * intrinsic_volume_sphere(n - 2, n, 1.0)
+        / (3.0 * math.factorial(n - 1) * omega(n - 2))
+    )
+
+
 def leading_and_subleading_check(n: int) -> tuple[float, float]:
     """Residuals of the two coefficient identities of the numerator polynomial.
 
-    Returns (leading coefficient - sigma_n/(n! omega_n),
-             R^{n-2} coefficient - (n+1)/(3(n-1)) * mu_{n-2}(S^n_1)/((n-2)! omega_{n-2})).
+    Returns (leading coefficient - volume_coefficient(n),
+             R^{n-2} coefficient - curvature_coefficient(n)).
     """
     n = int(n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     poly = P_polynomial(n)
-    lead_expected = sigma(n) / (math.factorial(n) * omega(n))
-    sub_expected = (
-        (n + 1)
-        / (3.0 * (n - 1))
-        * intrinsic_volume_sphere(n - 2, n, 1.0)
-        / (math.factorial(n - 2) * omega(n - 2))
-    )
     return (
-        poly.leading_coefficient - lead_expected,
-        poly.coefficient(n - 2) - sub_expected,
+        poly.leading_coefficient - volume_coefficient(n),
+        poly.coefficient(n - 2) - curvature_coefficient(n),
     )
 
 

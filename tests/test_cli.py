@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from magnitude.cli import CSV_HEADER, TOL_ENV_VAR, parse_sweep_spec, run
+from magnitude import errors
+from magnitude.cli import CSV_HEADER, EVALUATORS, TOL_ENV_VAR, parse_sweep_spec, run
 
 
 def run_cli(capsys, *argv):
@@ -314,3 +315,68 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert float(proc.stdout) == 2.0
+
+
+ERROR_CLASSES = sorted(
+    (cls for cls in vars(errors).values()
+     if isinstance(cls, type) and issubclass(cls, errors.MagnitudeError)),
+    key=lambda cls: cls.__name__,
+) + [ValueError, OSError]
+NUMERICAL_FAILURES = {"SingularSystem", "NoConvergence", "IllConditionedFit"}
+
+
+class TestEvaluatorTable:
+    @pytest.mark.parametrize("exc_class", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_exit_code_of_each_error_class(self, exc_class, capsys, monkeypatch):
+        def boom(*args):
+            raise exc_class("synthetic failure")
+
+        monkeypatch.setitem(EVALUATORS, ("interval", "closed"), boom)
+        code, out, err = run_cli(capsys, "interval", "--length", "1")
+        assert code == (3 if exc_class.__name__ in NUMERICAL_FAILURES else 2)
+        assert out == ""
+        assert err.startswith(f"{exc_class.__name__}: synthetic failure")
+
+    # (sweep spec lines, subcommand argv at x) for each pair; the Cantor
+    # finite-N pair has no single-value subcommand.
+    FORMS = {
+        ("finite-file", "closed"): ("matrix={tmp}/d.csv\n", ["finite", "--matrix", "{tmp}/d.csv"]),
+        ("interval", "closed"): ("", ["interval", "--length", "{x}"]),
+        ("interval", "finite"): ("", ["interval", "--length", "{x}", "--approx", "64"]),
+        ("cantor", "closed"): ("", ["cantor", "--length", "{x}", "--series"]),
+        ("circle", "closed"): ("", ["circle", "--circumference", "{x}"]),
+        ("circle", "finite"): ("", ["circle", "--circumference", "{x}", "--points", "64"]),
+        ("sphere-intrinsic", "closed"): ("dim=3\n", ["sphere", "--dim", "3", "--radius", "{x}"]),
+        ("sphere-intrinsic", "quadrature"): (
+            "dim=3\n", ["sphere", "--dim", "3", "--radius", "{x}", "--method", "quadrature"]),
+        ("sphere-subspace", "closed"): (
+            "dim=2\n", ["sphere", "--dim", "2", "--radius", "{x}", "--metric", "subspace",
+                        "--method", "closed"]),
+        ("sphere-subspace", "quadrature"): (
+            "dim=3\n", ["sphere", "--dim", "3", "--radius", "{x}", "--metric", "subspace",
+                        "--method", "quadrature"]),
+    }
+
+    def test_every_pair_but_cantor_finite_has_a_subcommand(self):
+        assert set(self.FORMS) | {("cantor", "finite")} == set(EVALUATORS)
+
+    @pytest.mark.parametrize("pair", list(FORMS), ids="/".join)
+    def test_sweep_row_equals_subcommand_output(self, pair, capsys, tmp_path):
+        space, kind = pair
+        extra, argv = self.FORMS[pair]
+        (tmp_path / "d.csv").write_text("0,1,1.5\n1,0,2\n1.5,2,0\n")
+        method = "finite-64" if kind == "finite" else kind
+        spec = tmp_path / "sweep.spec"
+        spec.write_text(f"space={space}\nmethod={method}\nstart=1\nstop=2.5\npoints=2\n"
+                        + extra.replace("{tmp}", str(tmp_path)))
+        out = tmp_path / "out.csv"
+        assert run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out))[0] == 0
+        rows = list(csv.reader(out.read_text().splitlines()))[1:]
+        # finite --matrix solves the file unscaled, so only the row at x = 1 has a counterpart.
+        for row in rows[:1] if space == "finite-file" else rows:
+            x = row[2]
+            code, stdout, _ = run_cli(
+                capsys, *(arg.replace("{x}", x).replace("{tmp}", str(tmp_path)) for arg in argv)
+            )
+            assert code == 0
+            assert stdout.strip().split(",")[0] == row[4]
