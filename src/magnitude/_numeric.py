@@ -8,7 +8,7 @@ truncation error of the series sits far below double-precision roundoff.
 import math
 
 # Below this the series branches are used for expressions of the form
-# x / (1 - e^{-x}) and 1 - (1+x) e^{-x}.
+# x / (1 - e^{-x}) and (x^2 / 2) / (1 - (1+x) e^{-x}).
 SERIES_CUTOFF = 1e-4
 
 
@@ -22,14 +22,16 @@ def x_over_one_minus_exp_neg(x: float) -> float:
     return x / -math.expm1(-x)
 
 
-def one_minus_one_plus_x_exp_neg(x: float) -> float:
-    """1 - (1+x) e^{-x}, accurate for small x.
+def half_x2_over_one_minus_one_plus_x_exp_neg(x: float) -> float:
+    """(x^2 / 2) / (1 - (1+x) e^{-x}) with the removable singularity at 0 filled in.
 
-    Series: sum_{k>=2} (-1)^k (k-1) x^k / k! = x^2/2 - x^3/3 + x^4/8 - ...
+    The small-x branch is the series of the whole ratio,
+    1 + 2x/3 + 7x^2/36 + 4x^3/135 + 11x^4/6480 - ..., so it stays 1 where
+    numerator and denominator would both underflow.
     """
     if abs(x) < SERIES_CUTOFF:
-        return x * x * (0.5 + x * (-1.0 / 3.0 + x * (0.125 + x * (-1.0 / 30.0 + x / 144.0))))
-    return -math.expm1(-x) - x * math.exp(-x)
+        return 1.0 + x * (2.0 / 3.0 + x * (7.0 / 36.0 + x * (4.0 / 135.0 + x * 11.0 / 6480.0)))
+    return 0.5 * x * x / (-math.expm1(-x) - x * math.exp(-x))
 
 
 def tanh_minus_x(x: float) -> float:

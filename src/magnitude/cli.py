@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics, finite, line, quadrature, spheres
-from .errors import MagnitudeError
+from .errors import MagnitudeError, NonFiniteResult
 
 #: Environment variable overriding the default tolerance of every subcommand.
 TOL_ENV_VAR = "MAGNITUDE_DEFAULT_TOL"
@@ -112,8 +113,7 @@ def _circle_closed(circumference, dim, n, tol, loaded):
 
 
 def _circle_finite(circumference, dim, n, tol, loaded):
-    X = finite.circle_points(circumference, n)
-    return finite.magnitude_homogeneous_finite(X, tol=1e-8), 0.0
+    return finite.circle_points_magnitude(circumference, n), 0.0
 
 
 def _intrinsic_closed(R, dim, n, tol, loaded):
@@ -156,8 +156,20 @@ EVALUATORS = {
 }
 
 
+def _evaluate(evaluator, x, dim, n, tol, loaded):
+    """Call one evaluator; a magnitude that overflows or is not finite is a
+    numerical failure, never a printed inf or nan."""
+    try:
+        magnitude, error = evaluator(x, dim, n, tol, loaded)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NonFiniteResult(f"magnitude at {_fmt(x)} is out of range: {exc}") from None
+    if not math.isfinite(magnitude):
+        raise NonFiniteResult(f"magnitude at {_fmt(x)} is not finite: {magnitude}")
+    return magnitude, error
+
+
 def _print_magnitude(space, method, x, dim=None, n=None, tol=None) -> int:
-    magnitude, _ = EVALUATORS[space, method](x, dim, n, tol, None)
+    magnitude, _ = _evaluate(EVALUATORS[space, method], x, dim, n, tol, None)
     print(_fmt(magnitude))
     return 0
 
@@ -355,7 +367,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     for value in spec.grid():
         value = float(value)
-        mag, err = evaluate(value, spec.dim, n, spec.tol, loaded)
+        mag, err = _evaluate(evaluate, value, spec.dim, n, spec.tol, loaded)
         rows.append((spec.space, spec.param_name, _fmt(value), spec.method, _fmt(mag), _fmt(err)))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -55,6 +55,12 @@ class EpsilonTooLarge(MagnitudeError, ValueError):
     """Tube radius must satisfy 0 < eps < R."""
 
 
+class NonFiniteResult(MagnitudeError):
+    """The computed magnitude overflowed or is otherwise not a finite number."""
+
+    exit_code = 3
+
+
 class IllConditionedFit(MagnitudeError):
     """Extrapolation spread exceeded the requested coefficient tolerance."""
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import NonpositiveScale, NotHomogeneous, SingularSystem
 
@@ -122,6 +121,10 @@ def weighting(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Weighting:
         estimate falls below tol, or the residual cannot be brought below
         tol by one step of iterative refinement.
     """
+    # Imported here, not at module level: scipy.linalg is most of the import
+    # time of the package, and only dense solves need it.
+    from scipy.linalg import get_lapack_funcs
+
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
     Z = similarity_matrix(X)
@@ -187,16 +190,39 @@ def magnitude_homogeneous_finite(X: FiniteMetricSpace, tol: float = DEFAULT_TOL)
     return X.n / float(sums[0])
 
 
-def circle_points(circumference: float, n: int) -> FiniteMetricSpace:
-    """n evenly spaced points on a circle, with arc-length distances."""
-    if not circumference > 0.0:
-        raise NonpositiveScale(f"circumference must be positive, got {circumference}")
+def _circle_distance_row(circumference: float, n: int) -> np.ndarray:
+    """Arc-length distances from point 0 to points 0..n-1 of an n-point circle grid."""
+    if not circumference > 0.0 or not np.isfinite(circumference):
+        raise NonpositiveScale(
+            f"circumference must be positive and finite, got {circumference}"
+        )
     if n < 1:
         raise ValueError(f"need at least one point, got {n}")
+    step = circumference / n
+    if n > 1 and step == 0.0:
+        raise ValueError(f"point spacing {circumference}/{n} underflows to zero")
     idx = np.arange(n)
-    k = np.abs(idx[:, None] - idx[None, :])
-    steps = np.minimum(k, n - k)
-    return FiniteMetricSpace(steps * (circumference / n), check_triangle=False)
+    return np.minimum(idx, n - idx) * step
+
+
+def circle_points(circumference: float, n: int) -> FiniteMetricSpace:
+    """n evenly spaced points on a circle, with arc-length distances."""
+    row = _circle_distance_row(circumference, n)
+    idx = np.arange(n)
+    # d[i, j] depends only on |i - j|, and row[k] = row[n - k].
+    return FiniteMetricSpace(row[np.abs(idx[:, None] - idx[None, :])], check_triangle=False)
+
+
+def circle_points_magnitude(circumference: float, n: int) -> float:
+    """Magnitude of circle_points(circumference, n) in O(n) time and memory.
+
+    The grid is homogeneous, so its magnitude is n over one similarity row
+    sum.  The row is computed with the same float operations as row 0 of
+    circle_points, so the value equals
+    magnitude_homogeneous_finite(circle_points(circumference, n)) exactly.
+    """
+    row = _circle_distance_row(circumference, n)
+    return n / float(np.exp(-row).sum())
 
 
 def _read_csv_rows(path) -> list[tuple[int, list[float]]]:
@@ -249,4 +275,6 @@ def read_point_cloud(path) -> FiniteMetricSpace:
     diff = arr[:, None, :] - arr[None, :, :]
     d = np.sqrt((diff * diff).sum(axis=2))
     np.fill_diagonal(d, 0.0)
-    return FiniteMetricSpace(d)
+    # Euclidean distances satisfy the triangle inequality by construction, so
+    # the O(n^3) check could only flag roundoff; the other checks still run.
+    return FiniteMetricSpace(d, check_triangle=False)

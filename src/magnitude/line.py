@@ -242,9 +242,16 @@ def cantor_magnitude_series(length: float, tol: float) -> float:
         raise ValueError(f"tol must be positive, got {tol}")
     total = 1.0
     i = 0
+    # x = length / (2 * 3^i) as half / p with p = 3^i carried by
+    # multiplication (3.0**i raises past i = 646); p is folded into half
+    # before it can overflow, which only lengths above ~1e290 reach.
+    half, p = length / 2.0, 1.0
     while _tail_bound(length, i) > tol:
         i += 1
-        x = length / (2.0 * 3.0**i)
+        if p > 1e300:
+            half, p = half / p, 1.0
+        p *= 3.0
+        x = half / p
         # 2^{i-1} tanh(x) written as (length/4)(2/3)^i * tanh(x)/x so deep
         # terms underflow cleanly instead of multiplying inf by zero.
         total += (length / 4.0) * (2.0 / 3.0) ** i * tanh_over_x(x)

@@ -22,9 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._numeric import one_minus_one_plus_x_exp_neg, x_over_one_minus_exp_neg
+from ._numeric import half_x2_over_one_minus_one_plus_x_exp_neg, x_over_one_minus_exp_neg
 from .errors import NoConvergence, NonpositiveLength
-from .spheres import sigma
+from .spheres import _check_radius, sigma
 
 #: Decay rate at which the integration domain is pre-split near zero.
 _SPLIT_RATE = 50.0
@@ -153,8 +153,7 @@ def I_integral(n: int, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> floa
     n = int(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not R > 0.0:
-        raise ValueError(f"need R > 0, got {R}")
+    _check_radius(R)
     f = lambda r: np.exp(-r * R) * np.sin(r) ** (n - 1)
     return _integrate_decaying(f, math.pi, R, cfg).value
 
@@ -200,11 +199,10 @@ def subspace_sphere2_closed(R: float) -> float:
     """Magnitude of the 2-sphere of radius R with the chord metric.
 
     Closed form 2 R^2 / (1 - e^{-2R} (1 + 2R)), with a series branch for
-    the denominator at small R.
+    the whole ratio at small R.
     """
-    if not R > 0.0:
-        raise ValueError(f"need R > 0, got {R}")
-    return 2.0 * R * R / one_minus_one_plus_x_exp_neg(2.0 * R)
+    _check_radius(R)
+    return half_x2_over_one_minus_one_plus_x_exp_neg(2.0 * R)
 
 
 def subspace_sphere_magnitude_quadrature(
@@ -219,8 +217,7 @@ def subspace_sphere_magnitude_quadrature(
     n = int(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not R > 0.0:
-        raise ValueError(f"need R > 0, got {R}")
+    _check_radius(R)
     f = lambda t: np.exp(-2.0 * R * np.sin(0.5 * t)) * np.sin(t) ** (n - 1)
     j = _integrate_decaying(f, math.pi, R, cfg).value
     return sigma(n) / (sigma(n - 1) * j)

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -17,6 +18,17 @@ def run_cli(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(args, cwd):
+    """Run a fresh interpreter on args, importing magnitude from this tree."""
+    import magnitude
+
+    src_dir = str(pathlib.Path(magnitude.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd)
 
 
 class TestSingleValues:
@@ -304,15 +316,7 @@ class TestExitCodes:
         assert "NoConvergence" in err
 
     def test_module_entry_point(self, tmp_path):
-        import magnitude
-
-        src_dir = str(pathlib.Path(magnitude.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "magnitude", "interval", "--length", "2"],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_python(["-m", "magnitude", "interval", "--length", "2"], tmp_path)
         assert proc.returncode == 0
         assert float(proc.stdout) == 2.0
 
@@ -322,7 +326,7 @@ ERROR_CLASSES = sorted(
      if isinstance(cls, type) and issubclass(cls, errors.MagnitudeError)),
     key=lambda cls: cls.__name__,
 ) + [ValueError, OSError]
-NUMERICAL_FAILURES = {"SingularSystem", "NoConvergence", "IllConditionedFit"}
+NUMERICAL_FAILURES = {"SingularSystem", "NoConvergence", "IllConditionedFit", "NonFiniteResult"}
 
 
 class TestEvaluatorTable:
@@ -380,3 +384,101 @@ class TestEvaluatorTable:
             )
             assert code == 0
             assert stdout.strip().split(",")[0] == row[4]
+
+
+class TestLazyLapack:
+    def test_only_dense_solves_load_scipy(self, tmp_path):
+        (tmp_path / "d.csv").write_text("0,1,1.5\n1,0,2\n1.5,2,0\n")
+        (tmp_path / "sweep.spec").write_text(
+            "space=sphere-intrinsic\nmethod=quadrature\nstart=1\nstop=4\npoints=3\ndim=3\n")
+        code = textwrap.dedent("""
+            import contextlib, io, sys
+            from magnitude.cli import run
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+            calls = [
+                ["sphere", "--dim", "3", "--radius", "2"],
+                ["sphere", "--dim", "3", "--radius", "2", "--method", "quadrature"],
+                ["circle", "--circumference", "5", "--points", "300"],
+                ["cantor", "--length", "3", "--series"],
+                ["asymptotics", "--dim", "3", "--orders", "2", "--tmin", "10", "--tmax", "80"],
+                ["sweep", "--spec", "sweep.spec", "--out", "out.csv"],
+            ]
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [run(argv) for argv in calls]
+            print(codes, scipy_modules())
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = run(["finite", "--matrix", "d.csv"])
+            print(code, "scipy.linalg" in sys.modules)
+        """)
+        proc = run_python(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0] []", "0 True"]
+
+
+class TestInputDomain:
+    def test_circle_points_large_n(self, capsys):
+        code, out, _ = run_cli(capsys, "circle", "--circumference", "5", "--points", "100000")
+        assert code == 0
+        _, closed, _ = run_cli(capsys, "circle", "--circumference", "5")
+        assert math.isfinite(float(out))
+        assert float(out) == pytest.approx(float(closed), rel=1e-6)
+
+    @pytest.mark.parametrize("argv", [
+        ("--circumference", "inf", "--points", "5"),
+        ("--circumference", "nan", "--points", "5"),
+        ("--circumference", "-1", "--points", "5"),
+        ("--circumference", "5", "--points", "0"),
+    ], ids=" ".join)
+    def test_circle_points_bad_input_exits_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, "circle", *argv)
+        assert code == 2
+        assert out == ""
+        assert err
+
+    def test_subspace_closed_tiny_radius_is_one(self, capsys):
+        code, out, _ = run_cli(capsys, "sphere", "--dim", "2", "--radius", "1e-300",
+                               "--metric", "subspace")
+        assert code == 0
+        assert float(out) == 1.0
+
+    @pytest.mark.parametrize("metric", ["intrinsic", "subspace"])
+    @pytest.mark.parametrize("method", ["closed", "quadrature"])
+    @pytest.mark.parametrize("radius", ["inf", "nan"])
+    def test_nonfinite_radius_exits_two(self, capsys, metric, method, radius):
+        code, out, err = run_cli(capsys, "sphere", "--dim", "2", "--radius", radius,
+                                 "--metric", metric, "--method", method)
+        assert code == 2
+        assert out == ""
+        assert "positive and finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--radius", "1e308", "--metric", "subspace"),
+        ("--radius", "1e200", "--metric", "subspace"),
+        ("--radius", "1e200"),
+        ("--radius", "1e200", "--method", "quadrature"),
+        ("--radius", "1e200", "--metric", "subspace", "--method", "quadrature"),
+    ], ids=" ".join)
+    def test_magnitude_out_of_range_exits_three(self, capsys, argv):
+        code, out, err = run_cli(capsys, "sphere", "--dim", "2", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("NonFiniteResult")
+
+    def test_sweep_row_out_of_range_exits_three(self, capsys, tmp_path):
+        spec = tmp_path / "sweep.spec"
+        spec.write_text("space=sphere-subspace\nmethod=closed\nstart=1\nstop=1e308\n"
+                        "points=2\ndim=2\n")
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out))
+        assert code == 3
+        assert err.startswith("NonFiniteResult")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("length", ["1e200", "1e300"])
+    def test_cantor_series_huge_length(self, capsys, length):
+        code, out, _ = run_cli(capsys, "cantor", "--length", length, "--series")
+        assert code == 0
+        assert math.isfinite(float(out))

@@ -1,16 +1,21 @@
 """Tests for finite metric spaces and the weight-equation solver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from magnitude import finite
 from magnitude import (
     FiniteMetricSpace,
     NonpositiveScale,
     NotHomogeneous,
     SingularSystem,
     circle_points,
+    circle_points_magnitude,
     is_homogeneous_rows,
     magnitude_finite,
     magnitude_homogeneous_finite,
@@ -234,6 +239,42 @@ class TestHomogeneous:
         assert prev_gap < 1e-3
 
 
+class TestCirclePointsMagnitude:
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.floats(1e-3, 1e3), n=st.integers(1, 1500))
+    def test_equals_dense_row_sum_exactly(self, c, n):
+        dense = magnitude_homogeneous_finite(circle_points(c, n), tol=1e-8)
+        assert circle_points_magnitude(c, n) == dense
+
+    def test_memory_is_linear_in_n(self):
+        n = 10**5
+        tracemalloc.start()
+        try:
+            value = circle_points_magnitude(5.0, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value)
+        assert peak < 100 * n
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_circumference(self, c):
+        with pytest.raises(NonpositiveScale):
+            circle_points_magnitude(c, 5)
+        with pytest.raises(NonpositiveScale):
+            circle_points(c, 5)
+
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            circle_points_magnitude(1.0, 0)
+
+    def test_rejects_spacing_that_underflows(self):
+        # the dense route would see zero distances between distinct points
+        with pytest.raises(ValueError, match="underflows"):
+            circle_points_magnitude(5e-324, 3)
+        assert circle_points_magnitude(5e-324, 1) == 1.0
+
+
 class TestIO:
     def test_distance_matrix_roundtrip(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -267,6 +308,18 @@ class TestIO:
         assert X.d[0, 1] == 3.0
         assert X.d[1, 2] == 4.0
         assert X.d[0, 2] == 5.0
+
+    def test_point_cloud_skips_triangle_check(self, tmp_path, monkeypatch):
+        # Euclidean distances are metric by construction.
+        def fail(d):
+            raise AssertionError("triangle check ran")
+
+        monkeypatch.setattr(finite, "_check_triangle", fail)
+        p = tmp_path / "pts.csv"
+        p.write_text("0,0\n3,0\n3,4\n")
+        assert read_point_cloud(p).n == 3
+        with pytest.raises(AssertionError, match="triangle check ran"):
+            FiniteMetricSpace(read_point_cloud(p).d)
 
     def test_point_cloud_ragged(self, tmp_path):
         p = tmp_path / "pts.csv"

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -176,6 +177,21 @@ class TestCantor:
                 2.0 ** (i - 1) * math.tanh(ell / (2.0 * 3.0**i)) for i in range(1, 200)
             )
             assert cantor_magnitude_series(ell, 1e-13) == pytest.approx(direct, abs=2e-13)
+
+    @pytest.mark.parametrize("ell", [1e-3, 3.0, 1e3, 1e200, 1e300, 1.7e308])
+    def test_series_against_50_digit_sum(self, ell):
+        # lengths past ~1e294 used to overflow 3.0**i before the tail bound was met
+        with mpmath.workdps(50):
+            L = mpmath.mpf(ell)
+            total, i = mpmath.mpf(1), 0
+            while True:
+                i += 1
+                term = 2 ** (i - 1) * mpmath.tanh(L / (2 * mpmath.mpf(3) ** i))
+                total += term
+                if term < total * mpmath.mpf(10) ** -40:
+                    break
+            expected = float(total)
+        assert cantor_magnitude_series(ell, 1e-12) == pytest.approx(expected, rel=1e-12)
 
     def test_series_truncation_respects_tail_bound(self):
         # the returned partial sum is within tol of the full series
