@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedFit
+from .errors import IllConditionedFit, NonFiniteResult
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, subspace_sphere_magnitude_quadrature
 from .spheres import curvature_coefficient, sphere_magnitude_closed, volume_coefficient
 
@@ -78,8 +78,14 @@ def watson_partial_sum(germ: GermExpansion, t: float) -> float:
     if not t > 0.0:
         raise ValueError(f"need t > 0, got {t}")
     total = 0.0
-    for i, alpha in enumerate(germ.coefficients):
-        total += math.factorial(i) * alpha / t ** (i + 1)
+    try:
+        for i, alpha in enumerate(germ.coefficients):
+            total += math.factorial(i) * alpha / t ** (i + 1)
+    except (OverflowError, ZeroDivisionError) as exc:
+        # t ** (i + 1) underflows to 0 for tiny t, or a term leaves the double range.
+        raise NonFiniteResult(f"Watson sum at t = {t!r} is out of range: {exc}") from None
+    if not math.isfinite(total):
+        raise NonFiniteResult(f"Watson sum at t = {t!r} is not finite: {total}")
     return total
 
 
@@ -186,9 +192,14 @@ def extract_coefficients(
     if not np.all(np.isfinite(fvals)):
         raise ValueError("f must be finite on the whole grid")
 
-    u = t ** (-parity_step)
     powers = [int(leading_power) - i * parity_step for i in range(count)]
-    tpow = {k: t ** float(k) for k in powers}
+    # Checked rather than warned about: on grids near the ends of the double
+    # range these powers overflow or underflow to 0.
+    with np.errstate(over="ignore", under="ignore"):
+        u = t ** (-parity_step)
+        tpow = {k: t ** float(k) for k in powers}
+    if not all(np.all(np.isfinite(p) & (p > 0.0)) for p in (u, *tpow.values())):
+        raise ValueError("t_grid is too close to 0 or to the double limit for this model")
     coeffs = {k: 0.0 for k in powers}
     spreads = {k: 0.0 for k in powers}
     sweeps = 1 if count == 1 else 2

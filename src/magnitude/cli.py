@@ -5,9 +5,10 @@ single-value subcommands and `sweep` call: a sweep row at x holds the number
 the matching subcommand prints at x.
 
 Exit codes: 0 on success, 2 on input errors (including argparse failures),
-3 on numerical failures, taken from MagnitudeError.exit_code (ValueError and
-OSError exit 2), with the failure named on stderr.  All numbers are printed
-with 17 significant digits so doubles round-trip exactly.
+3 on numerical failures, taken from MagnitudeError.exit_code (ValueError,
+OSError and MemoryError, an input too large to hold, exit 2), with the failure
+named on stderr.  All numbers are printed with 17 significant digits so
+doubles round-trip exactly.
 """
 
 from __future__ import annotations
@@ -73,11 +74,6 @@ def _cmd_finite(args) -> int:
     return 0
 
 
-def _solve(X, tol):
-    w = finite.weighting(X, _solver_tol(tol))
-    return float(w.w.sum()), w.residual_norm / w.rcond
-
-
 def _quadrature(quotient, dim, R, tol):
     cfg = _quad_config(tol)
     mag = quotient(dim, R, cfg)
@@ -85,7 +81,8 @@ def _quadrature(quotient, dim, R, tol):
 
 
 def _finite_file(t, dim, n, tol, loaded):
-    return _solve(finite.scale(loaded, t), tol)
+    w = finite.weighting(finite.scale(loaded, t), _solver_tol(tol))
+    return float(w.w.sum()), w.residual_norm / w.rcond
 
 
 def _interval_closed(length, dim, n, tol, loaded):
@@ -95,7 +92,7 @@ def _interval_closed(length, dim, n, tol, loaded):
 
 def _interval_finite(length, dim, n, tol, loaded):
     space, _ = line.interval_weight_measure(length)
-    return _solve(line.finite_approx_line(space, n), tol)
+    return line.line_points_magnitude(line.finite_approx_points(space, n))
 
 
 def _cantor_closed(length, dim, n, tol, loaded):
@@ -105,7 +102,8 @@ def _cantor_closed(length, dim, n, tol, loaded):
 
 def _cantor_finite(length, dim, depth, tol, loaded):
     # The integer selects the construction depth of the carrier.
-    return _solve(line.finite_approx_line(line.cantor_level_set(length, depth), 2), tol)
+    carrier = line.cantor_level_set(length, depth)
+    return line.line_points_magnitude(line.finite_approx_points(carrier, 2))
 
 
 def _circle_closed(circumference, dim, n, tol, loaded):
@@ -206,42 +204,60 @@ def _geometric_grid(tmin: float, tmax: float) -> list[float]:
     return grid
 
 
+def _sampled(f):
+    """f at float t behind the numerical-failure guard of a table evaluator."""
+    evaluator = lambda t, *_: (f(t), None)
+    return lambda t: _evaluate(evaluator, float(t), None, None, None, None)[0]
+
+
+_ASYMPTOTICS_HEADER = ("power", "extracted", "predicted", "spread")
+
+
+def _asymptotics_option_error(message: str) -> ValueError:
+    # An option error follows the header line, as it always has; a numerical
+    # failure leaves stdout empty.
+    csv.writer(sys.stdout).writerow(_ASYMPTOTICS_HEADER)
+    return ValueError(message)
+
+
 def _cmd_asymptotics(args) -> int:
     n = args.dim
     grid = _geometric_grid(args.tmin, args.tmax)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(("power", "extracted", "predicted", "spread"))
+    # Every row is computed before the first is written.
+    rows = [_ASYMPTOTICS_HEADER]
     if args.metric == "intrinsic":
         if len(grid) < 4:
-            raise ValueError(
+            raise _asymptotics_option_error(
                 f"need a doubling grid of at least 4 points between tmin and tmax, got {grid}"
             )
         if not 1 <= args.orders <= 3:
-            raise ValueError("--orders must be 1, 2, or 3 for the intrinsic metric")
+            raise _asymptotics_option_error("--orders must be 1, 2, or 3 for the intrinsic metric")
         extracted = asymptotics.extract_parity_expansion(
-            lambda t: spheres.sphere_magnitude_closed(n, t), n, grid
+            _sampled(lambda t: spheres.sphere_magnitude_closed(n, t)), n, grid
         )
         predicted = asymptotics.predicted_expansion_intrinsic_sphere(n)
         for (power, coeff), spread in list(zip(extracted.terms, extracted.spreads))[: args.orders]:
-            writer.writerow((power, _fmt(coeff), _fmt(predicted.coefficient(power)), _fmt(spread)))
+            rows.append((power, _fmt(coeff), _fmt(predicted.coefficient(power)), _fmt(spread)))
     else:
         if len(grid) < 3:
-            raise ValueError(
+            raise _asymptotics_option_error(
                 f"need a doubling grid of at least 3 points between tmin and tmax, got {grid}"
             )
         if not 1 <= args.orders <= 2:
-            raise ValueError("--orders must be 1 or 2 for the subspace metric")
+            raise _asymptotics_option_error("--orders must be 1 or 2 for the subspace metric")
         cfg = _quad_config(args.tol)
         lead = spheres.volume_coefficient(n)
         ratio = asymptotics.extract_coefficients(
-            lambda R: quadrature.subspace_sphere_magnitude_quadrature(n, R, cfg) / (lead * R**n),
+            _sampled(lambda R: quadrature.subspace_sphere_magnitude_quadrature(n, R, cfg)
+                     / (lead * R**n)),
             0, 2, 1, grid,
         )
-        writer.writerow((0, _fmt(ratio.coefficient(0)), _fmt(1.0), _fmt(ratio.spreads[0])))
+        rows.append((0, _fmt(ratio.coefficient(0)), _fmt(1.0), _fmt(ratio.spreads[0])))
         if args.orders == 2:
             coeff, spread = asymptotics.extract_subspace_relative_correction(n, grid, cfg)
             predicted = asymptotics.predicted_relative_correction_subspace(n)
-            writer.writerow((-2, _fmt(coeff), _fmt(predicted), _fmt(spread)))
+            rows.append((-2, _fmt(coeff), _fmt(predicted), _fmt(spread)))
+    csv.writer(sys.stdout).writerows(rows)
     return 0
 
 
@@ -391,8 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interval", help="magnitude 1 + L/2 of a closed interval")
     p.add_argument("--length", type=float, required=True)
     p.add_argument("--approx", type=int, default=None, metavar="N",
-                   help="solve an N-point uniform finite approximation instead")
-    p.add_argument("--tol", type=float, default=None)
+                   help="magnitude of an N-point uniform finite approximation instead")
+    p.add_argument("--tol", type=float, default=None,
+                   help="accepted and ignored: no route of this subcommand has a tolerance")
     p.set_defaults(func=_cmd_interval)
 
     p = sub.add_parser("cantor", help="magnitude of the middle-thirds set")
@@ -451,7 +468,7 @@ def run(argv) -> int:
         return int(code) if code is not None else 0
     try:
         return args.func(args)
-    except (MagnitudeError, ValueError, OSError) as exc:
+    except (MagnitudeError, ValueError, OSError, MemoryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
 

@@ -8,7 +8,8 @@ quadrature anywhere in this module.
 The three constructions are the closed interval (atoms of mass 1/2 at the
 ends plus density 1/2), removal of an open subinterval (which adds atoms of
 mass tanh((b-a)/2)/2 at the new endpoints), and the middle-thirds sets
-obtained by iterating the removal.
+obtained by iterating the removal.  Finite subsets of the line need no
+weight equation either: line_points_magnitude sums tanh over their gaps.
 """
 
 from __future__ import annotations
@@ -59,14 +60,6 @@ class LineSubset:
     @property
     def total_length(self) -> float:
         return sum(b - a for a, b in self.intervals)
-
-    def endpoints(self) -> list[float]:
-        out = []
-        for a, b in self.intervals:
-            out.append(a)
-            if b != a:
-                out.append(b)
-        return out
 
     def contains(self, y: float) -> bool:
         return any(a <= y <= b for a, b in self.intervals)
@@ -311,27 +304,74 @@ def cantor_level_measure(length: float, depth: int) -> tuple[LineSubset, LineWei
     return space, measure
 
 
-def finite_approx_line(space: LineSubset, n_grid: int) -> FiniteMetricSpace:
-    """Finite approximation: carrier endpoints plus a uniform grid.
+def finite_approx_points(space: LineSubset, n_grid: int) -> np.ndarray:
+    """Sorted points of the finite approximation: carrier endpoints plus a grid.
 
-    The grid has n_grid points across the carrier hull; points outside the
-    carrier are dropped and points closer than 1e-12 are merged.  Distances
-    are |x - y|.
+    The grid has n_grid points spaced uniformly across the carrier hull;
+    points outside the carrier are dropped.  Sweeping left to right, a point
+    within MERGE_TOL of the last point kept is merged into it.
     """
     n_grid = int(n_grid)
     if n_grid < 2:
         raise TooFewPoints(f"need at least 2 grid points, got {n_grid}")
-    lo, hi = space.hull
-    pts = space.endpoints()
-    for x in np.linspace(lo, hi, n_grid):
-        if space.contains(float(x)):
-            pts.append(float(x))
-    pts.sort()
-    merged = [pts[0]]
-    for x in pts[1:]:
-        if x - merged[-1] > MERGE_TOL:
-            merged.append(x)
-    xs = np.array(merged)
+    ivs = np.array(space.intervals)
+    starts, ends = ivs[:, 0], ivs[:, 1]
+    grid = np.linspace(starts[0], ends[-1], n_grid)
+    # The only carrier interval that can hold x is the last one starting at or
+    # before x, because the intervals are disjoint and sorted.
+    host = np.searchsorted(starts, grid, side="right") - 1
+    inside = (host >= 0) & (grid <= ends[np.maximum(host, 0)])
+    pts = np.sort(np.concatenate([starts, ends[ends != starts], grid[inside]]))
+    keep = np.ones(pts.size, dtype=bool)
+    # A point farther than MERGE_TOL from its left neighbour is always kept;
+    # only the rare close pairs need the left-to-right pass.
+    last = -1
+    for i in (np.flatnonzero(np.diff(pts) <= MERGE_TOL) + 1).tolist():
+        if keep[i - 1]:
+            last = i - 1
+        keep[i] = pts[i] - pts[last] > MERGE_TOL
+    return pts[keep]
+
+
+def finite_approx_line(space: LineSubset, n_grid: int) -> FiniteMetricSpace:
+    """Finite approximation on the points of finite_approx_points, distance |x - y|."""
+    xs = finite_approx_points(space, n_grid)
     d = np.abs(xs[:, None] - xs[None, :])
     # |x - y| on a sorted grid is metric by construction.
     return FiniteMetricSpace(d, check_triangle=False)
+
+
+#: Relative rounding bound of line_points_magnitude, derived in its docstring.
+_LINE_SUM_ROUNDING = 11.0 * 2.0**-53
+
+
+def line_points_magnitude(xs) -> tuple[float, float]:
+    """Magnitude of a finite subset of the line and a bound on its rounding error.
+
+    For sorted points x_1 < ... < x_N the magnitude is
+    1 + sum_i tanh((x_{i+1} - x_i) / 2) (Leinster, "The magnitude of metric
+    spaces", Doc. Math. 2013), computed here in O(N) time and memory.
+
+    The error estimate bounds |computed - exact| for the given doubles; it
+    is not the gap to any continuum the points approximate.  With
+    u = 2^-53, each gap is rounded once, g(1 + d) with |d| <= u, and since
+    |d ln tanh(z) / d ln z| = 2z / sinh(2z) <= 1, tanh(g(1 + d)/2) is within
+    a factor exp(u / (1 - u)) of tanh(g/2).  numpy's tanh is allowed 4 ulps
+    (relative 8u; it measures under 1.4u against mpmath), so each term t_i
+    is within 9.01u t_i.  math.fsum rounds 1 + sum t_i once, within
+    u |result|.  As sum t_i <= (1 + u) |result|, the total is at most
+    10.1u |result|, and 11u |result| is returned.  Halving a subnormal gap
+    loses at most 2^-1075 per term, far below u |result| >= u.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1 or xs.size == 0:
+        raise ValueError(f"need a nonempty 1-d array of points, got shape {xs.shape}")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("points must be finite")
+    gaps = np.diff(xs)
+    if np.any(gaps <= 0.0):
+        raise ValueError("points must be strictly increasing")
+    terms = np.tanh(0.5 * gaps).tolist()
+    terms.append(1.0)
+    magnitude = math.fsum(terms)
+    return magnitude, _LINE_SUM_ROUNDING * magnitude

@@ -155,7 +155,10 @@ def I_integral(n: int, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> floa
         raise ValueError(f"need n >= 1, got {n}")
     _check_radius(R)
     f = lambda r: np.exp(-r * R) * np.sin(r) ** (n - 1)
-    return _integrate_decaying(f, math.pi, R, cfg).value
+    # At R near the double limit r * R overflows to inf, and exp(-inf) = 0 is
+    # the right factor.
+    with np.errstate(over="ignore"):
+        return _integrate_decaying(f, math.pi, R, cfg).value
 
 
 def sphere_magnitude_quadrature(

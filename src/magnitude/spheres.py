@@ -60,6 +60,9 @@ def sphere_magnitude_closed(n: int, R: float) -> float:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     _check_radius(R)
+    # A Python float raises OverflowError past the double range, where a
+    # numpy scalar would warn and return inf.
+    R = float(R)
     if n % 2 == 0:
         value = 2.0 / (1.0 + math.exp(-math.pi * R))
         start = 1

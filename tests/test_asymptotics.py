@@ -9,6 +9,7 @@ from magnitude import (
     AsymptoticExpansion,
     GermExpansion,
     IllConditionedFit,
+    NonFiniteResult,
     extract_coefficients,
     extract_parity_expansion,
     extract_subspace_relative_correction,
@@ -80,6 +81,13 @@ class TestWatson:
         germ = GermExpansion(coefficients=(1.0,), cutoff=1.0)
         with pytest.raises(ValueError):
             watson_partial_sum(germ, 0.0)
+
+    @pytest.mark.parametrize("t", [1e-200, 1e-320, 1e-160])
+    def test_tiny_t_is_out_of_range(self, t):
+        # t ** (i + 1) underflows to 0 (or the sum overflows) before the last term.
+        germ = GermExpansion(coefficients=(1.0, 0.5, 0.25), cutoff=1.0)
+        with pytest.raises(NonFiniteResult):
+            watson_partial_sum(germ, t)
 
 
 class TestPredictions:
@@ -158,6 +166,11 @@ class TestExtraction:
             extract_coefficients(f, 1, 1, 1, (2.0, 1.0, 3.0))
         with pytest.raises(ValueError, match="finite"):
             extract_coefficients(lambda t: float("nan"), 1, 1, 1, (1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("grid", [(1e-300, 2e-300, 4e-300, 8e-300), (1e200, 2e200, 4e200, 8e200)])
+    def test_grid_at_the_ends_of_the_double_range(self, grid):
+        with pytest.raises(ValueError, match="too close to 0 or to the double limit"):
+            extract_coefficients(lambda t: 1.0, 3, 2, 2, grid)
 
 
 class TestSphereExpansionExtraction:

@@ -391,6 +391,10 @@ class TestLazyLapack:
         (tmp_path / "d.csv").write_text("0,1,1.5\n1,0,2\n1.5,2,0\n")
         (tmp_path / "sweep.spec").write_text(
             "space=sphere-intrinsic\nmethod=quadrature\nstart=1\nstop=4\npoints=3\ndim=3\n")
+        (tmp_path / "interval.spec").write_text(
+            "space=interval\nmethod=finite-2000\nstart=1\nstop=4\npoints=3\n")
+        (tmp_path / "cantor.spec").write_text(
+            "space=cantor\nmethod=finite-8\nstart=1\nstop=4\npoints=3\n")
         code = textwrap.dedent("""
             import contextlib, io, sys
             from magnitude.cli import run
@@ -405,6 +409,9 @@ class TestLazyLapack:
                 ["cantor", "--length", "3", "--series"],
                 ["asymptotics", "--dim", "3", "--orders", "2", "--tmin", "10", "--tmax", "80"],
                 ["sweep", "--spec", "sweep.spec", "--out", "out.csv"],
+                ["interval", "--length", "2", "--approx", "300"],
+                ["sweep", "--spec", "interval.spec", "--out", "interval.csv"],
+                ["sweep", "--spec", "cantor.spec", "--out", "cantor.csv"],
             ]
             with contextlib.redirect_stdout(io.StringIO()):
                 codes = [run(argv) for argv in calls]
@@ -415,7 +422,7 @@ class TestLazyLapack:
         """)
         proc = run_python(["-c", code], tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0] []", "0 True"]
+        assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0] []", "0 True"]
 
 
 class TestInputDomain:
@@ -482,3 +489,58 @@ class TestInputDomain:
         code, out, _ = run_cli(capsys, "cantor", "--length", length, "--series")
         assert code == 0
         assert math.isfinite(float(out))
+
+    def test_interval_approx_large_n(self, capsys):
+        # O(N) in time and memory: the dense route needed a 1e5 x 1e5 matrix (75 GiB).
+        code, out, _ = run_cli(capsys, "interval", "--length", "2", "--approx", "100000")
+        assert code == 0
+        h = 2.0 / 99999
+        assert float(out) == pytest.approx(1.0 + 99999 * math.tanh(h / 2.0), rel=1e-12)
+
+    def test_interval_approx_tiny_length(self, capsys):
+        # The similarity matrix of this grid is too ill-conditioned for the dense solve.
+        code, out, _ = run_cli(capsys, "interval", "--length", "1e-9", "--approx", "300")
+        assert code == 0
+        h = 1e-9 / 299
+        assert float(out) == pytest.approx(1.0 + 299 * math.tanh(h / 2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("from_numpy", [False, True], ids=["MemoryError", "numpy"])
+    def test_memory_error_exits_two(self, capsys, monkeypatch, from_numpy):
+        exc = MemoryError("synthetic failure")
+        if from_numpy:
+            # numpy's out-of-memory error, a MemoryError subclass, built without allocating.
+            import numpy as np
+
+            try:
+                from numpy._core._exceptions import _ArrayMemoryError
+            except ImportError:  # numpy < 2
+                from numpy.core._exceptions import _ArrayMemoryError
+            exc = _ArrayMemoryError((100000, 100000), np.dtype(float))
+
+        def boom(*args):
+            raise exc
+
+        monkeypatch.setitem(EVALUATORS, ("interval", "finite"), boom)
+        code, out, err = run_cli(capsys, "interval", "--length", "1", "--approx", "100000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"{type(exc).__name__}: ")
+
+
+class TestNoWarningLeaks:
+    """Out-of-range inputs exit 3 with the error class first on stderr and
+    nothing on stdout; run as real processes, so a numpy warning would show."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sphere", "--dim", "2", "--radius", "1e308", "--method", "quadrature"],
+        ["asymptotics", "--metric", "intrinsic", "--dim", "2", "--orders", "3",
+         "--tmin", "1e306", "--tmax", "8e306"],
+        ["asymptotics", "--metric", "subspace", "--dim", "2", "--orders", "2",
+         "--tmin", "1e306", "--tmax", "8e306"],
+    ], ids=["sphere-quadrature", "asymptotics-intrinsic", "asymptotics-subspace"])
+    def test_out_of_range_exits_three_cleanly(self, tmp_path, argv):
+        proc = run_python(["-m", "magnitude", *argv], tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("NonFiniteResult: ")
+        assert proc.stderr.count("\n") == 1

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from magnitude import (
     HypothesisViolated,
@@ -13,6 +15,7 @@ from magnitude import (
     NonpositiveLength,
     NotContained,
     PointOutsideCarrier,
+    SingularSystem,
     TooFewPoints,
     cantor_level_measure,
     cantor_level_set,
@@ -20,12 +23,15 @@ from magnitude import (
     cantor_magnitude_series,
     carrier_probe_points,
     finite_approx_line,
+    finite_approx_points,
     interval_weight_measure,
+    line_points_magnitude,
     magnitude_finite,
     measure_total_mass,
     remove_open_interval,
     weight_equation_residual,
 )
+from magnitude.finite import MERGE_TOL
 
 
 def max_residual(space, measure, per_interval=100):
@@ -302,3 +308,125 @@ class TestFiniteApprox:
         space, _ = interval_weight_measure(1.0)
         with pytest.raises(TooFewPoints):
             finite_approx_line(space, 1)
+
+
+def scalar_loop_points(space, n_grid):
+    """The point set built one grid point at a time with LineSubset.contains."""
+    lo, hi = space.hull
+    pts = [x for a, b in space.intervals for x in ((a,) if a == b else (a, b))]
+    for x in np.linspace(lo, hi, n_grid):
+        if space.contains(float(x)):
+            pts.append(float(x))
+    pts.sort()
+    merged = [pts[0]]
+    for x in pts[1:]:
+        if x - merged[-1] > MERGE_TOL:
+            merged.append(x)
+    return np.array(merged)
+
+
+# Lengths and gaps mix ordinary sizes with sizes around MERGE_TOL, where the
+# merge rule decides which points survive.
+_sizes = st.one_of(
+    st.floats(1e-3, 10.0),
+    st.sampled_from([0.0, 3e-13, 5e-13, 1e-12, 1.5e-12, 2.5e-12, 1e-11]),
+    st.floats(1e-14, 1e-10),
+)
+
+
+@st.composite
+def line_subsets(draw):
+    x = draw(st.floats(-100.0, 100.0))
+    intervals = []
+    for _ in range(draw(st.integers(1, 8))):
+        length = draw(_sizes)
+        intervals.append((x, x + length))
+        x = x + length + draw(_sizes.filter(lambda g: g > 0.0))
+    try:
+        return LineSubset(tuple(intervals))
+    except ValueError:  # a gap absorbed by rounding
+        assume(False)
+
+
+@st.composite
+def cantor_sets(draw):
+    return cantor_level_set(draw(st.floats(1e-11, 1e3)), draw(st.integers(0, 7)))
+
+
+class TestLinePoints:
+    @settings(max_examples=300, deadline=None)
+    @given(space=st.one_of(line_subsets(), cantor_sets()),
+           n_grid=st.one_of(st.integers(2, 40), st.integers(2, 3000)))
+    def test_points_equal_the_scalar_loop(self, space, n_grid):
+        assert np.array_equal(finite_approx_points(space, n_grid),
+                              scalar_loop_points(space, n_grid))
+
+    @pytest.mark.parametrize("length, n_grid", [
+        (2.0, 512), (1e-9, 300), (1e-11, 50), (3.0, 2), (1.0, 11), (1e3, 4096),
+    ])
+    def test_interval_grids_equal_the_scalar_loop(self, length, n_grid):
+        space, _ = interval_weight_measure(length)
+        assert np.array_equal(finite_approx_points(space, n_grid),
+                              scalar_loop_points(space, n_grid))
+
+    def test_finite_approx_line_uses_the_points(self):
+        space = cantor_level_set(2.0, 3)
+        xs = finite_approx_points(space, 50)
+        X = finite_approx_line(space, 50)
+        assert np.array_equal(X.d, np.abs(xs[:, None] - xs[None, :]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(space=st.one_of(line_subsets(), cantor_sets()), n_grid=st.integers(2, 500))
+    def test_matches_the_dense_solve(self, space, n_grid):
+        xs = finite_approx_points(space, n_grid)
+        assume(xs.size <= 500)
+        try:
+            dense = magnitude_finite(finite_approx_line(space, n_grid))
+        except SingularSystem:
+            assume(False)
+        value, error = line_points_magnitude(xs)
+        assert value == pytest.approx(dense, rel=1e-9)
+        assert error > 0.0
+
+    @pytest.mark.parametrize("space, n_grid", [
+        (LineSubset(((0.0, 2.0),)), 512),
+        (LineSubset(((0.0, 1.0), (1.5, 4.0), (7.0, 7.0))), 200),
+        (cantor_level_set(3.0, 7), 2),
+        (cantor_level_set(1.0, 5), 300),
+    ], ids=["interval", "union", "cantor-7", "cantor-grid"])
+    def test_matches_the_dense_solve_on_fixed_spaces(self, space, n_grid):
+        value, _ = line_points_magnitude(finite_approx_points(space, n_grid))
+        assert value == pytest.approx(magnitude_finite(finite_approx_line(space, n_grid)), rel=1e-9)
+
+    def test_error_bound_holds_against_mpmath(self):
+        rng = np.random.default_rng(20261018)
+        cases = []
+        for _ in range(240):
+            n = int(rng.integers(1, 400))
+            scale = 10.0 ** rng.uniform(-14, 3)
+            offset = float(rng.choice([0.0, 1.0, 1e6, -1e12]))
+            xs = np.unique(offset + np.cumsum(rng.exponential(scale, n)))
+            cases.append(xs)
+        cases.append(np.array([0.0]))
+        cases.append(np.linspace(0.0, 2.0, 100000)[:2000])
+        assert len(cases) >= 200
+        with mpmath.workdps(50):
+            for xs in cases:
+                value, error = line_points_magnitude(xs)
+                exact = 1 + mpmath.fsum(
+                    mpmath.tanh((mpmath.mpf(float(b)) - mpmath.mpf(float(a))) / 2)
+                    for a, b in zip(xs, xs[1:])
+                )
+                assert error > 0.0
+                assert abs(mpmath.mpf(value) - exact) <= error, (xs.size, value, error)
+
+    def test_two_points(self):
+        value, _ = line_points_magnitude([0.0, 3.0])
+        assert value == pytest.approx(1.0 + math.tanh(1.5), rel=1e-15)
+        assert line_points_magnitude([5.0])[0] == 1.0
+
+    @pytest.mark.parametrize("xs", [[], [[0.0, 1.0]], [1.0, 0.0], [0.0, 0.0], [0.0, math.inf],
+                                    [math.nan, 1.0]], ids=str)
+    def test_rejects_bad_points(self, xs):
+        with pytest.raises(ValueError):
+            line_points_magnitude(xs)
