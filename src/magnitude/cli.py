@@ -154,16 +154,28 @@ EVALUATORS = {
 }
 
 
-def _evaluate(evaluator, x, dim, n, tol, loaded):
-    """Call one evaluator; a magnitude that overflows or is not finite is a
-    numerical failure, never a printed inf or nan."""
+def _guarded(x, compute) -> float:
+    """compute() for the magnitude at parameter x; a magnitude that overflows
+    or is not finite is a numerical failure, never a printed inf or nan."""
     try:
-        magnitude, error = evaluator(x, dim, n, tol, loaded)
+        magnitude = compute()
     except (OverflowError, ZeroDivisionError) as exc:
         raise NonFiniteResult(f"magnitude at {_fmt(x)} is out of range: {exc}") from None
     if not math.isfinite(magnitude):
         raise NonFiniteResult(f"magnitude at {_fmt(x)} is not finite: {magnitude}")
-    return magnitude, error
+    return magnitude
+
+
+def _evaluate(evaluator, x, dim, n, tol, loaded):
+    """Call one evaluator behind the guard; returns (magnitude, error estimate)."""
+    error = None
+
+    def magnitude():
+        nonlocal error
+        value, error = evaluator(x, dim, n, tol, loaded)
+        return value
+
+    return _guarded(x, magnitude), error
 
 
 def _print_magnitude(space, method, x, dim=None, n=None, tol=None) -> int:
@@ -174,7 +186,7 @@ def _print_magnitude(space, method, x, dim=None, n=None, tol=None) -> int:
 
 def _cmd_interval(args) -> int:
     method = "closed" if args.approx is None else "finite"
-    return _print_magnitude("interval", method, args.length, n=args.approx, tol=args.tol)
+    return _print_magnitude("interval", method, args.length, n=args.approx)
 
 
 def _cmd_cantor(args) -> int:
@@ -204,51 +216,45 @@ def _geometric_grid(tmin: float, tmax: float) -> list[float]:
     return grid
 
 
-def _sampled(f):
-    """f at float t behind the numerical-failure guard of a table evaluator."""
-    evaluator = lambda t, *_: (f(t), None)
-    return lambda t: _evaluate(evaluator, float(t), None, None, None, None)[0]
-
-
-_ASYMPTOTICS_HEADER = ("power", "extracted", "predicted", "spread")
-
-
-def _asymptotics_option_error(message: str) -> ValueError:
-    # An option error follows the header line, as it always has; a numerical
-    # failure leaves stdout empty.
-    csv.writer(sys.stdout).writerow(_ASYMPTOTICS_HEADER)
-    return ValueError(message)
+def _sampler(f):
+    """f behind the guard, called with a Python float: the extraction passes
+    numpy floats, whose powers warn and return inf where a float's raise."""
+    return lambda t: _guarded(t, lambda: f(float(t)))
 
 
 def _cmd_asymptotics(args) -> int:
     n = args.dim
     grid = _geometric_grid(args.tmin, args.tmax)
+    header = ("power", "extracted", "predicted", "spread")
+    min_points, max_orders = (4, 3) if args.metric == "intrinsic" else (3, 2)
+    problem = None
+    if len(grid) < min_points:
+        problem = f"need a doubling grid of at least {min_points} points between tmin and tmax, got {grid}"
+    elif not 1 <= args.orders <= max_orders:
+        problem = f"--orders must be between 1 and {max_orders} for the {args.metric} metric"
+    if problem is not None:
+        # An option error follows the header line, as it always has; a
+        # numerical failure leaves stdout empty.
+        csv.writer(sys.stdout).writerow(header)
+        raise ValueError(problem)
     # Every row is computed before the first is written.
-    rows = [_ASYMPTOTICS_HEADER]
+    rows = [header]
     if args.metric == "intrinsic":
-        if len(grid) < 4:
-            raise _asymptotics_option_error(
-                f"need a doubling grid of at least 4 points between tmin and tmax, got {grid}"
-            )
-        if not 1 <= args.orders <= 3:
-            raise _asymptotics_option_error("--orders must be 1, 2, or 3 for the intrinsic metric")
         extracted = asymptotics.extract_parity_expansion(
-            _sampled(lambda t: spheres.sphere_magnitude_closed(n, t)), n, grid
+            _sampler(lambda t: spheres.sphere_magnitude_closed(n, t)), n, grid
         )
         predicted = asymptotics.predicted_expansion_intrinsic_sphere(n)
         for (power, coeff), spread in list(zip(extracted.terms, extracted.spreads))[: args.orders]:
             rows.append((power, _fmt(coeff), _fmt(predicted.coefficient(power)), _fmt(spread)))
     else:
-        if len(grid) < 3:
-            raise _asymptotics_option_error(
-                f"need a doubling grid of at least 3 points between tmin and tmax, got {grid}"
-            )
-        if not 1 <= args.orders <= 2:
-            raise _asymptotics_option_error("--orders must be 1 or 2 for the subspace metric")
         cfg = _quad_config(args.tol)
         lead = spheres.volume_coefficient(n)
+        # The samples are divided by lead R^n; R^n of a huge R overflows
+        # (a magnitude out of range), of a tiny one it leaves the normal range.
+        if lead * min(grid[0], 1.0) ** n < sys.float_info.min:
+            raise ValueError(f"grid too close to 0: {_fmt(lead)} * tmin^{n} is below the normal range")
         ratio = asymptotics.extract_coefficients(
-            _sampled(lambda R: quadrature.subspace_sphere_magnitude_quadrature(n, R, cfg)
+            _sampler(lambda R: quadrature.subspace_sphere_magnitude_quadrature(n, R, cfg)
                      / (lead * R**n)),
             0, 2, 1, grid,
         )
@@ -408,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=float, required=True)
     p.add_argument("--approx", type=int, default=None, metavar="N",
                    help="magnitude of an N-point uniform finite approximation instead")
-    p.add_argument("--tol", type=float, default=None,
-                   help="accepted and ignored: no route of this subcommand has a tolerance")
     p.set_defaults(func=_cmd_interval)
 
     p = sub.add_parser("cantor", help="magnitude of the middle-thirds set")

@@ -185,6 +185,17 @@ class TestAsymptoticsCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("metric,dim", [("intrinsic", "2"), ("subspace", "3")])
+    def test_grid_too_close_to_zero(self, capsys, metric, dim):
+        # The magnitudes there are about 1; the powers of t the fit divides by underflow.
+        code, out, err = run_cli(
+            capsys, "asymptotics", "--dim", dim, "--metric", metric,
+            "--orders", "2", "--tmin", "1e-300", "--tmax", "8e-300",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ValueError: ") and "too close to 0" in err
+
 
 class TestSweep:
     def write_spec(self, tmp_path, text):
@@ -503,6 +514,13 @@ class TestInputDomain:
         assert code == 0
         h = 1e-9 / 299
         assert float(out) == pytest.approx(1.0 + 299 * math.tanh(h / 2.0), rel=1e-12)
+
+    def test_interval_takes_no_tol(self, capsys):
+        # Neither the closed form nor the O(N) sum has a tolerance to set.
+        code, out, err = run_cli(capsys, "interval", "--length", "1", "--approx", "10", "--tol", "1e-9")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --tol" in err
 
     @pytest.mark.parametrize("from_numpy", [False, True], ids=["MemoryError", "numpy"])
     def test_memory_error_exits_two(self, capsys, monkeypatch, from_numpy):
