@@ -14,7 +14,6 @@ import numpy as np
 from magnitude import (
     FiniteMetricSpace,
     circle_points,
-    is_homogeneous_rows,
     magnitude_finite,
     magnitude_homogeneous_finite,
     scale,
@@ -48,7 +47,6 @@ def main():
 
     print("\nHomogeneous spaces need only one row sum: 100 points on a circle.")
     C = circle_points(2 * np.pi, 100)
-    print(f"  equal row sums?        {is_homogeneous_rows(C)}")
     print(f"  n / (row sum)          = {magnitude_homogeneous_finite(C):.12f}")
     print(f"  full weight solve      = {magnitude_finite(C):.12f}")
 

@@ -122,6 +122,14 @@ def predicted_relative_correction_intrinsic(n: int) -> float:
     return (n + 1) * n * (n - 1) / 6.0
 
 
+def predicted_expansion_subspace_ratio(n: int) -> AsymptoticExpansion:
+    """Predicted 1 + predicted_relative_correction_subspace(n) R^{-2} for
+    subspace_ratio; for n = 1 only the leading 1 is known."""
+    if int(n) == 1:
+        return AsymptoticExpansion(terms=((0, 1.0),), error_order=-2)
+    return AsymptoticExpansion(((0, 1.0), (-2, predicted_relative_correction_subspace(n))), -4)
+
+
 def _neville_limit(u: np.ndarray, g: np.ndarray) -> tuple[float, float]:
     """Polynomial extrapolation of (u_j, g_j) to u = 0.
 
@@ -194,28 +202,28 @@ def extract_coefficients(
 
     powers = [int(leading_power) - i * parity_step for i in range(count)]
     # Checked rather than warned about: on grids near the ends of the double
-    # range these powers overflow or underflow to 0.
-    with np.errstate(over="ignore", under="ignore"):
+    # range these powers, and then the sums of the fit, overflow or underflow.
+    with np.errstate(all="ignore"):
         u = t ** (-parity_step)
         tpow = {k: t ** float(k) for k in powers}
+        coeffs = {k: 0.0 for k in powers}
+        spreads = {k: 0.0 for k in powers}
+        for _ in range(1 if count == 1 else 2):
+            for k in powers:
+                residual = fvals.copy()
+                for m in powers:
+                    if m != k:
+                        residual -= coeffs[m] * tpow[m]
+                coeffs[k], spreads[k] = _neville_limit(u, residual / tpow[k])
     if not all(np.all(np.isfinite(p) & (p > 0.0)) for p in (u, *tpow.values())):
         raise ValueError("t_grid is too close to 0 or to the double limit for this model")
-    coeffs = {k: 0.0 for k in powers}
-    spreads = {k: 0.0 for k in powers}
-    sweeps = 1 if count == 1 else 2
-    for _ in range(sweeps):
-        for k in powers:
-            residual = fvals.copy()
-            for m in powers:
-                if m != k:
-                    residual -= coeffs[m] * tpow[m]
-            coeffs[k], spreads[k] = _neville_limit(u, residual / tpow[k])
-    if coeff_tol is not None:
-        for k in powers:
-            if not spreads[k] <= coeff_tol:
-                raise IllConditionedFit(
-                    f"spread {spreads[k]:.3e} for the t^{k} coefficient exceeds {coeff_tol:.3e}"
-                )
+    for k in powers:
+        if not (math.isfinite(coeffs[k]) and math.isfinite(spreads[k])):
+            raise NonFiniteResult(f"the t^{k} coefficient or its spread is not finite on this grid")
+        if coeff_tol is not None and not spreads[k] <= coeff_tol:
+            raise IllConditionedFit(
+                f"spread {spreads[k]:.3e} for the t^{k} coefficient exceeds {coeff_tol:.3e}"
+            )
     return AsymptoticExpansion(
         terms=tuple((k, coeffs[k]) for k in powers),
         error_order=powers[-1] - parity_step,
@@ -230,16 +238,16 @@ def extract_parity_expansion(f, leading_power: int, t_grid) -> AsymptoticExpansi
     the parity gaps; the k-1 coefficient is then read off the deflated
     series.  This is how a vanishing odd term is verified numerically: the
     parity structure is an input, and the k-1 estimate should come back at
-    the noise level.
+    the noise level.  f is called once per grid point.
     """
     k = int(leading_power)
-    even = extract_coefficients(f, k, 2, 2, t_grid)
+    table = {float(t): f(float(t)) for t in t_grid}
+    even = extract_coefficients(table.__getitem__, k, 2, 2, t_grid)
     c_top = even.coefficient(k)
     c_sub = even.coefficient(k - 2)
-    cache = {float(t): float(f(t)) for t in t_grid}
 
     def deflated(t):
-        return cache[float(t)] - c_top * t**k - c_sub * t ** (k - 2)
+        return table[t] - c_top * t**k - c_sub * t ** (k - 2)
 
     odd = extract_coefficients(deflated, k - 1, 1, 1, t_grid)
     return AsymptoticExpansion(
@@ -247,6 +255,25 @@ def extract_parity_expansion(f, leading_power: int, t_grid) -> AsymptoticExpansi
         error_order=k - 3,
         spreads=(even.spreads[0], odd.spreads[0], even.spreads[1]),
     )
+
+
+def subspace_ratio(n: int, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """Chord-metric magnitude of S^n_R over its leading term sigma_n R^n / (n! omega_n)."""
+    magnitude = subspace_sphere_magnitude_quadrature(n, R, cfg)
+    lead = volume_coefficient(n) * R**n
+    if lead < np.finfo(float).tiny:
+        raise ValueError(f"grid too close to 0: the leading term at R = {R!r} is below the normal range")
+    return magnitude / lead
+
+
+def extract_subspace_expansion(ratio, R_grid) -> AsymptoticExpansion:
+    """R^0 and R^{-2} coefficients of ratio (subspace_ratio at a fixed n), called
+    once per grid point: the limits of ratio and of (ratio - 1) R^2 at R = infinity."""
+    table = {float(R): ratio(float(R)) for R in R_grid}
+    lead = extract_coefficients(table.__getitem__, 0, 2, 1, R_grid)
+    correction = extract_coefficients(lambda R: (table[R] - 1.0) * R * R, 0, 2, 1, R_grid)
+    return AsymptoticExpansion(((0, lead.coefficient(0)), (-2, correction.coefficient(0))), -4,
+                               (lead.spreads[0], correction.spreads[0]))
 
 
 def extract_subspace_relative_correction(
@@ -261,14 +288,8 @@ def extract_subspace_relative_correction(
     n = int(n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    lead = volume_coefficient(n)
-
-    def centered(R):
-        ratio = subspace_sphere_magnitude_quadrature(n, R, cfg) / (lead * R**n)
-        return (ratio - 1.0) * R * R
-
-    result = extract_coefficients(centered, 0, 2, 1, R_grid)
-    return result.coefficient(0), result.spreads[0]
+    result = extract_subspace_expansion(lambda R: subspace_ratio(n, R, cfg), R_grid)
+    return result.coefficient(-2), result.spreads[1]
 
 
 def surface_asymptotics_residual(R: float) -> float:

@@ -44,33 +44,36 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _default_tol(fallback: float) -> float:
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return fallback
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise ValueError(f"{TOL_ENV_VAR}={raw!r} is not a number") from None
-    if not tol > 0.0:
-        raise ValueError(f"{TOL_ENV_VAR} must be positive, got {tol}")
+def _tolerance(tol: float | None, fallback: float) -> float:
+    """tol (from --tol or a sweep's tol=), else MAGNITUDE_DEFAULT_TOL, else
+    fallback; one that is given must be positive and finite."""
+    name = "--tol"
+    if tol is None:
+        raw = os.environ.get(TOL_ENV_VAR)
+        if raw is None:
+            return fallback
+        try:
+            tol = float(raw)
+        except ValueError:
+            raise ValueError(f"{TOL_ENV_VAR}={raw!r} is not a number") from None
+        name = TOL_ENV_VAR
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {tol}")
     return tol
 
 
 def _quad_config(tol: float | None) -> quadrature.QuadratureConfig:
-    if tol is None:
-        tol = _default_tol(quadrature.DEFAULT_CONFIG.rel_tol)
-    return quadrature.QuadratureConfig(rel_tol=tol)
+    return quadrature.QuadratureConfig(rel_tol=_tolerance(tol, quadrature.DEFAULT_CONFIG.rel_tol))
 
 
 def _solver_tol(tol: float | None) -> float:
-    return _default_tol(finite.DEFAULT_TOL) if tol is None else tol
+    return _tolerance(tol, finite.DEFAULT_TOL)
 
 
 def _cmd_finite(args) -> int:
     X = finite.read_distance_matrix(args.matrix)
     w = finite.weighting(X, _solver_tol(args.tol))
-    print(f"{_fmt(w.w.sum())},{_fmt(w.rcond)}")
+    _print(*_guarded(1.0, lambda: (w.w.sum(), w.rcond)))
     return 0
 
 
@@ -154,33 +157,25 @@ EVALUATORS = {
 }
 
 
-def _guarded(x, compute) -> float:
-    """compute() for the magnitude at parameter x; a magnitude that overflows
-    or is not finite is a numerical failure, never a printed inf or nan."""
+def _guarded(x, compute) -> tuple[float, ...]:
+    """compute() for the numbers at parameter x, a tuple; one that overflows or
+    is not finite is a numerical failure, never a printed inf or nan."""
     try:
-        magnitude = compute()
+        values = compute()
     except (OverflowError, ZeroDivisionError) as exc:
-        raise NonFiniteResult(f"magnitude at {_fmt(x)} is out of range: {exc}") from None
-    if not math.isfinite(magnitude):
-        raise NonFiniteResult(f"magnitude at {_fmt(x)} is not finite: {magnitude}")
-    return magnitude
+        raise NonFiniteResult(f"result at {_fmt(x)} is out of range: {exc}") from None
+    for value in values:
+        if not math.isfinite(value):
+            raise NonFiniteResult(f"result at {_fmt(x)} is not finite: {value}")
+    return values
 
 
-def _evaluate(evaluator, x, dim, n, tol, loaded):
-    """Call one evaluator behind the guard; returns (magnitude, error estimate)."""
-    error = None
-
-    def magnitude():
-        nonlocal error
-        value, error = evaluator(x, dim, n, tol, loaded)
-        return value
-
-    return _guarded(x, magnitude), error
+def _print(*values) -> None:
+    print(",".join(map(_fmt, values)))
 
 
 def _print_magnitude(space, method, x, dim=None, n=None, tol=None) -> int:
-    magnitude, _ = _evaluate(EVALUATORS[space, method], x, dim, n, tol, None)
-    print(_fmt(magnitude))
+    _print(_guarded(x, lambda: EVALUATORS[space, method](x, dim, n, tol, None))[0])
     return 0
 
 
@@ -194,7 +189,7 @@ def _cmd_cantor(args) -> int:
         return _print_magnitude("cantor", "closed", args.length, tol=args.tol)
     if args.depth is None:
         raise ValueError("--iterative requires --depth")
-    print(_fmt(line.cantor_magnitude_iterative(args.length, args.depth)))
+    _print(*_guarded(args.length, lambda: (line.cantor_magnitude_iterative(args.length, args.depth),)))
     return 0
 
 
@@ -208,8 +203,8 @@ def _cmd_sphere(args) -> int:
 
 
 def _geometric_grid(tmin: float, tmax: float) -> list[float]:
-    if not 0.0 < tmin < tmax:
-        raise ValueError(f"need 0 < tmin < tmax, got tmin={tmin}, tmax={tmax}")
+    if not 0.0 < tmin < tmax < math.inf:
+        raise ValueError(f"need 0 < tmin < tmax < inf, got tmin={tmin}, tmax={tmax}")
     grid = [tmin]
     while grid[-1] * 2.0 <= tmax * (1.0 + 1e-12):
         grid.append(grid[-1] * 2.0)
@@ -217,60 +212,51 @@ def _geometric_grid(tmin: float, tmax: float) -> list[float]:
 
 
 def _sampler(f):
-    """f behind the guard, called with a Python float: the extraction passes
-    numpy floats, whose powers warn and return inf where a float's raise."""
-    return lambda t: _guarded(t, lambda: f(float(t)))
+    """f behind the guard."""
+    return lambda t: _guarded(t, lambda: (f(t),))[0]
 
 
 def _cmd_asymptotics(args) -> int:
     n = args.dim
     grid = _geometric_grid(args.tmin, args.tmax)
     header = ("power", "extracted", "predicted", "spread")
-    min_points, max_orders = (4, 3) if args.metric == "intrinsic" else (3, 2)
+    if args.metric == "intrinsic":
+        predicted, min_points = asymptotics.predicted_expansion_intrinsic_sphere(n), 4
+    else:
+        predicted, min_points = asymptotics.predicted_expansion_subspace_ratio(n), 3
     problem = None
     if len(grid) < min_points:
         problem = f"need a doubling grid of at least {min_points} points between tmin and tmax, got {grid}"
-    elif not 1 <= args.orders <= max_orders:
-        problem = f"--orders must be between 1 and {max_orders} for the {args.metric} metric"
+    elif not 1 <= args.orders <= len(predicted.terms):
+        problem = f"--orders must be between 1 and {len(predicted.terms)} for the {args.metric} metric at --dim {n}"
     if problem is not None:
         # An option error follows the header line, as it always has; a
         # numerical failure leaves stdout empty.
         csv.writer(sys.stdout).writerow(header)
         raise ValueError(problem)
-    # Every row is computed before the first is written.
-    rows = [header]
     if args.metric == "intrinsic":
         extracted = asymptotics.extract_parity_expansion(
             _sampler(lambda t: spheres.sphere_magnitude_closed(n, t)), n, grid
         )
-        predicted = asymptotics.predicted_expansion_intrinsic_sphere(n)
-        for (power, coeff), spread in list(zip(extracted.terms, extracted.spreads))[: args.orders]:
-            rows.append((power, _fmt(coeff), _fmt(predicted.coefficient(power)), _fmt(spread)))
     else:
         cfg = _quad_config(args.tol)
-        lead = spheres.volume_coefficient(n)
-        # The samples are divided by lead R^n; R^n of a huge R overflows
-        # (a magnitude out of range), of a tiny one it leaves the normal range.
-        if lead * min(grid[0], 1.0) ** n < sys.float_info.min:
-            raise ValueError(f"grid too close to 0: {_fmt(lead)} * tmin^{n} is below the normal range")
-        ratio = asymptotics.extract_coefficients(
-            _sampler(lambda R: quadrature.subspace_sphere_magnitude_quadrature(n, R, cfg)
-                     / (lead * R**n)),
-            0, 2, 1, grid,
+        extracted = asymptotics.extract_subspace_expansion(
+            _sampler(lambda R: asymptotics.subspace_ratio(n, R, cfg)), grid
         )
-        rows.append((0, _fmt(ratio.coefficient(0)), _fmt(1.0), _fmt(ratio.spreads[0])))
-        if args.orders == 2:
-            coeff, spread = asymptotics.extract_subspace_relative_correction(n, grid, cfg)
-            predicted = asymptotics.predicted_relative_correction_subspace(n)
-            rows.append((-2, _fmt(coeff), _fmt(predicted), _fmt(spread)))
+    # Every row is computed before the first is written.
+    rows = [header]
+    for (power, coeff), spread in list(zip(extracted.terms, extracted.spreads))[: args.orders]:
+        rows.append((power, _fmt(coeff), _fmt(predicted.coefficient(power)), _fmt(spread)))
     csv.writer(sys.stdout).writerows(rows)
     return 0
 
 
 def _cmd_tube_check(args) -> int:
-    direct, formula = spheres.tube_volume_check(args.dim, args.radius, args.epsilon)
-    rel = abs(direct - formula) / abs(direct)
-    print(f"{_fmt(direct)},{_fmt(formula)},{_fmt(rel)}")
+    def check():
+        direct, formula = spheres.tube_volume_check(args.dim, args.radius, args.epsilon)
+        return direct, formula, abs(direct - formula) / abs(direct)
+
+    _print(*_guarded(args.radius, check))
     return 0
 
 
@@ -389,7 +375,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     for value in spec.grid():
         value = float(value)
-        mag, err = _evaluate(evaluate, value, spec.dim, n, spec.tol, loaded)
+        mag, err = _guarded(value, lambda: evaluate(value, spec.dim, n, spec.tol, loaded))
         rows.append((spec.space, spec.param_name, _fmt(value), spec.method, _fmt(mag), _fmt(err)))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

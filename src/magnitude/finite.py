@@ -170,12 +170,6 @@ def scale(X: FiniteMetricSpace, t: float) -> FiniteMetricSpace:
     return FiniteMetricSpace(X.d * float(t), labels=X.labels, check_triangle=False)
 
 
-def is_homogeneous_rows(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> bool:
-    """Necessary condition for homogeneity: equal similarity row sums."""
-    sums = similarity_matrix(X).sum(axis=1)
-    return bool(sums.max() - sums.min() <= tol)
-
-
 def magnitude_homogeneous_finite(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> float:
     """Magnitude of a homogeneous finite space: n / (similarity row sum).
 

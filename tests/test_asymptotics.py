@@ -172,6 +172,11 @@ class TestExtraction:
         with pytest.raises(ValueError, match="too close to 0 or to the double limit"):
             extract_coefficients(lambda t: 1.0, 3, 2, 2, grid)
 
+    def test_fit_that_leaves_the_double_range(self):
+        # Samples and powers of t are finite; t^-2 f(t) ~ 1e436 in the extrapolation is not.
+        with pytest.raises(NonFiniteResult, match="not finite"):
+            extract_coefficients(lambda t: t**-2.0, 0, 2, 1, (1e-109, 2e-109, 4e-109, 8e-109))
+
 
 class TestSphereExpansionExtraction:
     def test_intrinsic_matches_prediction(self):

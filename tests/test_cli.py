@@ -20,7 +20,7 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(args, cwd):
+def run_python(args, cwd, **kwargs):
     """Run a fresh interpreter on args, importing magnitude from this tree."""
     import magnitude
 
@@ -28,7 +28,7 @@ def run_python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, cwd=cwd)
+                          env=env, cwd=cwd, **kwargs)
 
 
 class TestSingleValues:
@@ -195,6 +195,138 @@ class TestAsymptoticsCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("ValueError: ") and "too close to 0" in err
+
+    @pytest.mark.parametrize("metric,dim,orders,module,name", [
+        ("subspace", "3", "2", "quadrature", "subspace_sphere_magnitude_quadrature"),
+        ("intrinsic", "2", "3", "spheres", "sphere_magnitude_closed"),
+    ], ids=["subspace", "intrinsic"])
+    def test_each_magnitude_is_computed_once(self, capsys, monkeypatch, metric, dim, orders,
+                                             module, name):
+        # Wrap the function wherever a magnitude module holds it, as a tracer would.
+        import magnitude
+
+        original = getattr(getattr(magnitude, module), name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("magnitude.") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+        code, out, _ = run_cli(capsys, "asymptotics", "--dim", dim, "--metric", metric,
+                               "--orders", orders, "--tmin", "10", "--tmax", "80")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + int(orders)
+        assert [args[1] for args in calls] == [10.0, 20.0, 40.0, 80.0]
+        assert all(type(args[1]) is float for args in calls)
+
+    def test_infinite_tmax_exits_two_under_a_memory_cap(self, tmp_path):
+        # A grid doubling towards inf never ends; the cap turns a regression
+        # into a MemoryError instead of exhausting the machine.
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        argv = ["asymptotics", "--dim", "2", "--orders", "3", "--tmin", "1", "--tmax", "inf"]
+        proc = run_python(["-m", "magnitude", *argv], tmp_path, preexec_fn=cap, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("ValueError: ")
+
+    def test_subspace_dim_one_predicts_only_the_leading_term(self, capsys):
+        code, out, _ = run_cli(capsys, "asymptotics", "--dim", "1", "--metric", "subspace",
+                               "--orders", "1", "--tmin", "10", "--tmax", "80")
+        assert code == 0
+        power, _, predicted, _ = out.splitlines()[1].split(",")
+        assert (power, predicted) == ("0", "1")
+        code, _, err = run_cli(capsys, "asymptotics", "--dim", "1", "--metric", "subspace",
+                               "--orders", "2", "--tmin", "10", "--tmax", "80")
+        assert code == 2
+        assert err.startswith("ValueError: --orders must be between 1 and 1")
+
+
+class TestGuard:
+    """Every printed number passes the one finiteness guard."""
+
+    def test_cantor_iterative(self, capsys, monkeypatch):
+        from magnitude import line
+
+        monkeypatch.setattr(line, "cantor_magnitude_iterative", lambda *args: math.inf)
+        code, out, err = run_cli(capsys, "cantor", "--length", "1", "--iterative", "--depth", "3")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("NonFiniteResult: ")
+
+    def test_finite_matrix(self, capsys, monkeypatch, tmp_path):
+        import types
+
+        import numpy as np
+
+        from magnitude import finite
+
+        p = tmp_path / "d.csv"
+        p.write_text("0,1\n1,0\n")
+        monkeypatch.setattr(finite, "weighting",
+                            lambda *args: types.SimpleNamespace(w=np.array([1.0, 1.0]), rcond=math.nan))
+        code, out, err = run_cli(capsys, "finite", "--matrix", str(p))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("NonFiniteResult: ")
+
+
+class TestTolerance:
+    """One check: a tolerance from --tol, a sweep's tol= or the environment
+    variable is positive and finite, else exit 2."""
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-9"])
+    @pytest.mark.parametrize("argv", [
+        ("cantor", "--length", "1", "--series"),
+        ("sphere", "--dim", "2", "--radius", "1", "--method", "quadrature"),
+        ("asymptotics", "--dim", "3", "--metric", "subspace", "--orders", "2",
+         "--tmin", "20", "--tmax", "80"),
+    ], ids=lambda argv: argv[0])
+    def test_flag(self, capsys, monkeypatch, argv, tol):
+        monkeypatch.delenv(TOL_ENV_VAR, raising=False)
+        code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ValueError: --tol must be positive and finite")
+
+    def test_flag_of_finite(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv(TOL_ENV_VAR, raising=False)
+        p = tmp_path / "d.csv"
+        p.write_text("0,1\n1,0\n")
+        code, out, err = run_cli(capsys, "finite", "--matrix", str(p), "--tol", "inf")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ValueError: --tol must be positive and finite")
+
+    @pytest.mark.parametrize("method", ["closed", "finite-4"])
+    def test_sweep_spec(self, capsys, monkeypatch, tmp_path, method):
+        monkeypatch.delenv(TOL_ENV_VAR, raising=False)
+        spec = tmp_path / "sweep.spec"
+        spec.write_text(f"space=cantor\nmethod={method}\nstart=1\nstop=2\npoints=2\ntol=inf\n")
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out))
+        assert code == 2
+        assert err.startswith("ValueError: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", ["inf", "nan", "0"])
+    def test_environment_variable(self, capsys, monkeypatch, tmp_path, raw):
+        monkeypatch.setenv(TOL_ENV_VAR, raw)
+        code, out, err = run_cli(capsys, "cantor", "--length", "1", "--series")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"ValueError: {TOL_ENV_VAR} must be positive and finite")
+        spec = tmp_path / "sweep.spec"
+        spec.write_text("space=interval\nmethod=closed\nstart=1\nstop=2\npoints=2\n")
+        code, _, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert err.startswith("ValueError: ")
 
 
 class TestSweep:
@@ -555,7 +687,13 @@ class TestNoWarningLeaks:
          "--tmin", "1e306", "--tmax", "8e306"],
         ["asymptotics", "--metric", "subspace", "--dim", "2", "--orders", "2",
          "--tmin", "1e306", "--tmax", "8e306"],
-    ], ids=["sphere-quadrature", "asymptotics-intrinsic", "asymptotics-subspace"])
+        ["asymptotics", "--metric", "subspace", "--dim", "2", "--orders", "2",
+         "--tmin", "1.5e-109", "--tmax", "1.2e-108"],
+        ["tube-check", "--dim", "3", "--radius", "1e308", "--epsilon", "1"],
+        ["tube-check", "--dim", "3", "--radius", "1e-300", "--epsilon", "1e-301"],
+        ["tube-check", "--dim", "1", "--radius", "1e6", "--epsilon", "1e-300"],
+    ], ids=["sphere-quadrature", "asymptotics-intrinsic", "asymptotics-subspace",
+            "asymptotics-subspace-fit", "tube-check-overflow", "tube-check-tiny", "tube-check-thin-shell"])
     def test_out_of_range_exits_three_cleanly(self, tmp_path, argv):
         proc = run_python(["-m", "magnitude", *argv], tmp_path)
         assert proc.returncode == 3, proc.stderr

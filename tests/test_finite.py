@@ -16,7 +16,6 @@ from magnitude import (
     SingularSystem,
     circle_points,
     circle_points_magnitude,
-    is_homogeneous_rows,
     magnitude_finite,
     magnitude_homogeneous_finite,
     read_distance_matrix,
@@ -199,16 +198,17 @@ class TestScale:
 
 class TestHomogeneous:
     def test_equilateral_is_homogeneous(self):
-        assert is_homogeneous_rows(equilateral(3))
+        assert magnitude_homogeneous_finite(equilateral(3)) == pytest.approx(
+            3.0 / (1.0 + 2.0 * math.exp(-1.0)), rel=1e-14
+        )
 
     def test_single_point_is_homogeneous(self):
-        assert is_homogeneous_rows(FiniteMetricSpace([[0.0]]))
+        assert magnitude_homogeneous_finite(FiniteMetricSpace([[0.0]])) == 1.0
 
     def test_collinear_is_not(self):
         xs = np.array([0.0, 1.0, 3.0])
         d = np.abs(xs[:, None] - xs[None, :])
         X = FiniteMetricSpace(d)
-        assert not is_homogeneous_rows(X)
         with pytest.raises(NotHomogeneous):
             magnitude_homogeneous_finite(X)
 
