@@ -558,14 +558,14 @@ class TestLazyLapack:
             ]
             with contextlib.redirect_stdout(io.StringIO()):
                 codes = [run(argv) for argv in calls]
-            print(codes, scipy_modules())
+            print(codes, scipy_modules(), "concurrent.futures" in sys.modules)
             with contextlib.redirect_stdout(io.StringIO()):
                 code = run(["finite", "--matrix", "d.csv"])
             print(code, "scipy.linalg" in sys.modules)
         """)
         proc = run_python(["-c", code], tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0] []", "0 True"]
+        assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0] [] False", "0 True"]
 
 
 class TestInputDomain:
@@ -700,3 +700,18 @@ class TestNoWarningLeaks:
         assert proc.stdout == ""
         assert proc.stderr.startswith("NonFiniteResult: ")
         assert proc.stderr.count("\n") == 1
+
+    def test_distances_near_the_double_maximum(self, tmp_path):
+        # Pair sums in the triangle check overflow to inf, which is no violation.
+        (tmp_path / "big.csv").write_text("0,1.7e308\n1.7e308,0\n")
+        proc = run_python(["-m", "magnitude", "finite", "--matrix", "big.csv"], tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2,1\n", "")
+
+    def test_sweep_scale_that_overflows_the_distances(self, tmp_path):
+        (tmp_path / "m.csv").write_text("0,4.2e15\n4.2e15,0\n")
+        (tmp_path / "s.spec").write_text(
+            "space=finite-file\nmatrix=m.csv\nmethod=closed\nstart=1\nstop=1e300\npoints=3\n")
+        proc = run_python(["-m", "magnitude", "sweep", "--spec", "s.spec", "--out", "o.csv"],
+                          tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == "ValueError: non-finite distance at row 0, column 1\n"

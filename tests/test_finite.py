@@ -1,7 +1,9 @@
 """Tests for finite metric spaces and the weight-equation solver."""
 
 import math
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -73,6 +75,103 @@ class TestConstruction:
     def test_labels_checked(self):
         with pytest.raises(ValueError, match="labels"):
             FiniteMetricSpace([[0.0, 1.0], [1.0, 0.0]], labels=["a"])
+
+
+def naive_triangle_violations(d):
+    """The scan over j that the blocked check replaced, kept as its reference.
+
+    Returns the n x n mask of pairs (i, k) that some j violates beyond the
+    slack, and for each flagged pair the smallest such j.
+    """
+    n = d.shape[0]
+    slack = 1e-12 * (1.0 + float(d.max()))
+    flagged = np.zeros((n, n), dtype=bool)
+    first_j = np.zeros((n, n), dtype=int)
+    with np.errstate(over="ignore"):
+        for j in range(n):
+            bad = d > d[:, j][:, None] + d[j, :][None, :] + slack
+            first_j[bad & ~flagged] = j
+            flagged |= bad
+    return flagged, first_j
+
+
+TRIANGLE_MESSAGE = re.compile(
+    r"triangle inequality violated: d\[(\d+),(\d+)\] > d\[\1,(\d+)\] \+ d\[\3,\2\]$")
+
+
+def triangle_report(d):
+    """(i, j, k) named by _check_triangle, or None when it accepts d."""
+    try:
+        finite._check_triangle(d)
+    except ValueError as exc:
+        i, k, j = map(int, TRIANGLE_MESSAGE.match(str(exc)).groups())
+        return i, j, k
+    return None
+
+
+@st.composite
+def perturbed_metrics(draw):
+    """Euclidean distances of random points, rescaled and then perturbed.
+
+    Sizes sit on both sides of the block edges; dim 1 puts every triple on
+    the equality case; rescaling up to 1.7e308 makes pair sums overflow.
+    Perturbations are multiples of the check's slack, so they fall on both
+    sides of it.
+    """
+    n = draw(st.sampled_from([1, 2, 63, 64, 65, 130]))
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-1.0, 1.0, size=(n, dim))
+    diff = pts[:, None, :] - pts[None, :, :]
+    d = np.abs(diff[..., 0]) if dim == 1 else np.sqrt((diff * diff).sum(axis=2))
+    top = draw(st.sampled_from([None, 1e300, 1.7e308]))
+    if top is not None and n > 1:
+        d = d / d.max() * top
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i, k = rng.choice(n, size=2, replace=False)
+        c = draw(st.sampled_from([-1.0, 0.5, 1.0, 1.0 + 2.0**-20, 2.0, 1e6, 1e11]))
+        slack = 1e-12 * (1.0 + float(d.max()))
+        d[i, k] = d[k, i] = min(max(float(d[i, k]) + c * slack, 0.0), np.finfo(float).max)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+class TestTriangleCheck:
+    @settings(max_examples=200, deadline=None)
+    @given(d=perturbed_metrics(), block=st.sampled_from([64, 5]))
+    def test_agrees_with_the_naive_scan(self, d, block):
+        flagged, first_j = naive_triangle_violations(d)
+        upper = np.argwhere(np.triu(flagged, 1))
+        with mock.patch.object(finite, "_TRIANGLE_BLOCK", block):
+            report = triangle_report(d)
+        if len(upper) == 0:
+            assert report is None
+            return
+        # the first flagged pair in row-major order, with its smallest j
+        i, k = map(int, upper[0])
+        assert report == (i, int(first_j[i, k]), k)
+        i, j, k = report
+        slack = 1e-12 * (1.0 + float(d.max()))
+        with np.errstate(over="ignore"):
+            assert d[i, k] > d[i, j] + d[j, k] + slack
+
+    def test_witness_in_an_earlier_block(self, monkeypatch):
+        # Point 0 is the only point between points 20 and 21, whose block
+        # starts at row 20.
+        monkeypatch.setattr(finite, "_TRIANGLE_BLOCK", 4)
+        xs = np.concatenate([[0.5], np.linspace(0.0, 0.4, 20), np.linspace(0.6, 1.0, 20)])
+        d = np.abs(xs[:, None] - xs[None, :])
+        d[20, 21] = d[21, 20] = d[20, 21] + 1e-6
+        assert triangle_report(d) == (20, 0, 21)
+
+    def test_message_does_not_depend_on_thread_timing(self, monkeypatch):
+        monkeypatch.setattr(finite, "_TRIANGLE_BLOCK", 4)
+        xs = np.linspace(0.0, 1.0, 40)
+        d = np.abs(xs[:, None] - xs[None, :])
+        for i, k in [(33, 38), (21, 30), (9, 17), (2, 5)]:
+            d[i, k] = d[k, i] = 2.0 * d[i, k]
+        reports = {triangle_report(d) for _ in range(20)}
+        assert reports == {(2, 1, 5)}
 
 
 class TestSimilarity:
