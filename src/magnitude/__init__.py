@@ -14,94 +14,109 @@ routes and cross-checks them:
   (`spheres`, `quadrature`), with large-scale asymptotics extracted and
   compared against the volume / total-scalar-curvature / Euler
   characteristic predictions (`asymptotics`).
+
+Every public name is resolved on first access from the module that defines
+it, so `import magnitude` imports no submodule.  The closed forms (`spheres`,
+the measure arithmetic and Cantor sums of `line`, `errors`) need only the
+standard library; numpy is imported by `finite`, `quadrature` and
+`asymptotics` and by the functions of `line` that build arrays, and scipy
+only by the dense solve in `finite.weighting`.
 """
 
-from .asymptotics import (
-    AsymptoticExpansion,
-    GermExpansion,
-    extract_coefficients,
-    extract_parity_expansion,
-    extract_subspace_relative_correction,
-    predicted_expansion_intrinsic_sphere,
-    predicted_relative_correction_intrinsic,
-    predicted_relative_correction_subspace,
-    surface_asymptotics_residual,
-    watson_partial_sum,
-)
-from .errors import (
-    EpsilonTooLarge,
-    HypothesisViolated,
-    IllConditionedFit,
-    IndexOutOfRange,
-    MagnitudeError,
-    NoConvergence,
-    NonFiniteResult,
-    NonpositiveLength,
-    NonpositiveScale,
-    NotContained,
-    NotHomogeneous,
-    PointOutsideCarrier,
-    SingularSystem,
-    TooFewPoints,
-)
-from .finite import (
-    DEFAULT_TOL,
-    FiniteMetricSpace,
-    Weighting,
-    circle_points,
-    circle_points_magnitude,
-    magnitude_finite,
-    magnitude_homogeneous_finite,
-    read_distance_matrix,
-    read_point_cloud,
-    scale,
-    similarity_matrix,
-    weighting,
-)
-from .line import (
-    LineSubset,
-    LineWeightMeasure,
-    cantor_level_measure,
-    cantor_level_set,
-    cantor_magnitude_iterative,
-    cantor_magnitude_series,
-    carrier_probe_points,
-    finite_approx_line,
-    finite_approx_points,
-    interval_weight_measure,
-    line_points_magnitude,
-    measure_total_mass,
-    remove_open_interval,
-    weight_equation_residual,
-)
-from .quadrature import (
-    DEFAULT_CONFIG,
-    IntegralResult,
-    I_integral,
-    K_integral,
-    QuadratureConfig,
-    circle_magnitude_closed,
-    integrate_adaptive,
-    recurrence_residuals,
-    sphere_magnitude_quadrature,
-    subspace_sphere2_closed,
-    subspace_sphere_magnitude_quadrature,
-)
-from .spheres import (
-    P_polynomial,
-    SpherePolynomial,
-    geodesic_sphere_expansion_check,
-    intrinsic_volume_sphere,
-    leading_and_subleading_check,
-    omega,
-    penguin_valuation_sphere,
-    recurrence_step_check,
-    scalar_curvature_sphere,
-    sigma,
-    sphere_magnitude_closed,
-    tsc_sphere,
-    tube_volume_check,
-)
+import importlib
+
+#: The public names of each submodule.  A name (or a submodule) is imported
+#: on first access (PEP 562), so `import magnitude` and the closed forms, which
+#: need only the standard library, never import numpy or scipy.
+_EXPORTS = {
+    "asymptotics": (
+        "AsymptoticExpansion",
+        "GermExpansion",
+        "extract_coefficients",
+        "extract_parity_expansion",
+        "extract_subspace_relative_correction",
+        "predicted_expansion_intrinsic_sphere",
+        "predicted_relative_correction_intrinsic",
+        "predicted_relative_correction_subspace",
+        "surface_asymptotics_residual",
+        "watson_partial_sum",
+    ),
+    "errors": (
+        "EpsilonTooLarge",
+        "HypothesisViolated",
+        "IllConditionedFit",
+        "IndexOutOfRange",
+        "MagnitudeError",
+        "NoConvergence",
+        "NonFiniteResult",
+        "NonpositiveLength",
+        "NonpositiveScale",
+        "NotContained",
+        "NotHomogeneous",
+        "PointOutsideCarrier",
+        "SingularSystem",
+        "TooFewPoints",
+    ),
+    "_numeric": ("DEFAULT_TOL",),
+    "finite": (
+        "FiniteMetricSpace",
+        "Weighting",
+        "circle_points",
+        "circle_points_magnitude",
+        "magnitude_finite",
+        "magnitude_homogeneous_finite",
+        "read_distance_matrix",
+        "read_point_cloud",
+        "scale",
+        "similarity_matrix",
+        "weighting",
+    ),
+    "line": (
+        "LineSubset",
+        "LineWeightMeasure",
+        "cantor_level_measure",
+        "cantor_level_set",
+        "cantor_magnitude_iterative",
+        "cantor_magnitude_series",
+        "carrier_probe_points",
+        "finite_approx_line",
+        "finite_approx_points",
+        "interval_weight_measure",
+        "line_points_magnitude",
+        "measure_total_mass",
+        "remove_open_interval",
+        "weight_equation_residual",
+    ),
+    "quadrature": (
+        "DEFAULT_CONFIG",
+        "IntegralResult",
+        "I_integral",
+        "K_integral",
+        "QuadratureConfig",
+        "integrate_adaptive",
+        "recurrence_residuals",
+        "sphere_magnitude_quadrature",
+        "subspace_sphere_magnitude_quadrature",
+    ),
+    "spheres": (
+        "P_polynomial",
+        "SpherePolynomial",
+        "circle_magnitude_closed",
+        "geodesic_sphere_expansion_check",
+        "intrinsic_volume_sphere",
+        "leading_and_subleading_check",
+        "omega",
+        "penguin_valuation_sphere",
+        "recurrence_step_check",
+        "scalar_curvature_sphere",
+        "sigma",
+        "sphere_magnitude_closed",
+        "subspace_sphere2_closed",
+        "tsc_sphere",
+        "tube_volume_check",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -181,3 +196,15 @@ __all__ = [
     "weight_equation_residual",
     "weighting",
 ]
+
+
+def __getattr__(name):
+    if name in _SOURCE:
+        return getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -1,11 +1,16 @@
-"""Numerically careful scalar helpers shared across modules.
+"""Numerically careful scalar helpers and the default tolerance, shared across modules.
 
-All of these guard against catastrophic cancellation near zero by switching
-to a short series branch; the crossover thresholds are chosen so that the
-truncation error of the series sits far below double-precision roundoff.
+All of the helpers guard against catastrophic cancellation near zero by
+switching to a short series branch; the crossover thresholds are chosen so
+that the truncation error of the series sits far below double-precision
+roundoff.  The module needs only the standard library.
 """
 
 import math
+
+#: Default solver tolerance (residual bound and reciprocal-condition floor of
+#: the dense solve), also the default truncation bound of the Cantor series.
+DEFAULT_TOL = 1e-10
 
 # Below this the series branches are used for expressions of the form
 # x / (1 - e^{-x}) and (x^2 / 2) / (1 - (1+x) e^{-x}).

@@ -9,6 +9,10 @@ Exit codes: 0 on success, 2 on input errors (including argparse failures),
 OSError and MemoryError, an input too large to hold, exit 2), with the failure
 named on stderr.  All numbers are printed with 17 significant digits so
 doubles round-trip exactly.
+
+Only the routes that build arrays import numpy and the modules that need it
+(finite, quadrature, asymptotics), inside the functions that run them; a
+closed-form call needs only the standard library.
 """
 
 from __future__ import annotations
@@ -19,11 +23,16 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import asymptotics, finite, line, quadrature, spheres
+from . import line, spheres
+from ._numeric import DEFAULT_TOL
 from .errors import MagnitudeError, NonFiniteResult
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import quadrature
 
 #: Environment variable overriding the default tolerance of every subcommand.
 TOL_ENV_VAR = "MAGNITUDE_DEFAULT_TOL"
@@ -63,14 +72,18 @@ def _tolerance(tol: float | None, fallback: float) -> float:
 
 
 def _quad_config(tol: float | None) -> quadrature.QuadratureConfig:
+    from . import quadrature
+
     return quadrature.QuadratureConfig(rel_tol=_tolerance(tol, quadrature.DEFAULT_CONFIG.rel_tol))
 
 
 def _solver_tol(tol: float | None) -> float:
-    return _tolerance(tol, finite.DEFAULT_TOL)
+    return _tolerance(tol, DEFAULT_TOL)
 
 
 def _cmd_finite(args) -> int:
+    from . import finite
+
     X = finite.read_distance_matrix(args.matrix)
     w = finite.weighting(X, _solver_tol(args.tol))
     _print(*_guarded(1.0, lambda: (w.w.sum(), w.rcond)))
@@ -84,6 +97,8 @@ def _quadrature(quotient, dim, R, tol):
 
 
 def _finite_file(t, dim, n, tol, loaded):
+    from . import finite
+
     w = finite.weighting(finite.scale(loaded, t), _solver_tol(tol))
     return float(w.w.sum()), w.residual_norm / w.rcond
 
@@ -110,10 +125,12 @@ def _cantor_finite(length, dim, depth, tol, loaded):
 
 
 def _circle_closed(circumference, dim, n, tol, loaded):
-    return quadrature.circle_magnitude_closed(circumference), 0.0
+    return spheres.circle_magnitude_closed(circumference), 0.0
 
 
 def _circle_finite(circumference, dim, n, tol, loaded):
+    from . import finite
+
     return finite.circle_points_magnitude(circumference, n), 0.0
 
 
@@ -122,6 +139,8 @@ def _intrinsic_closed(R, dim, n, tol, loaded):
 
 
 def _intrinsic_quadrature(R, dim, n, tol, loaded):
+    from . import quadrature
+
     return _quadrature(quadrature.sphere_magnitude_quadrature, dim, R, tol)
 
 
@@ -131,17 +150,20 @@ def _subspace_closed(R, dim, n, tol, loaded):
             "closed form for the subspace metric exists only for --dim 2; "
             "use --method quadrature"
         )
-    return quadrature.subspace_sphere2_closed(R), 0.0
+    return spheres.subspace_sphere2_closed(R), 0.0
 
 
 def _subspace_quadrature(R, dim, n, tol, loaded):
+    from . import quadrature
+
     return _quadrature(quadrature.subspace_sphere_magnitude_quadrature, dim, R, tol)
 
 
 #: The valid (space, method kind) pairs, "finite" standing for finite-N.  Each
 #: maps (swept parameter, dim, N, tol, loaded matrix) to (magnitude, error
 #: estimate), looking library functions up on their module at call time so
-#: that wrappers installed there (tracing, test doubles) apply.
+#: that wrappers installed there (tracing, test doubles) apply; an array
+#: module is imported by the evaluators that use it.
 EVALUATORS = {
     ("finite-file", "closed"): _finite_file,
     ("interval", "closed"): _interval_closed,
@@ -217,6 +239,8 @@ def _sampler(f):
 
 
 def _cmd_asymptotics(args) -> int:
+    from . import asymptotics
+
     n = args.dim
     grid = _geometric_grid(args.tmin, args.tmax)
     header = ("power", "extracted", "predicted", "spread")
@@ -276,6 +300,8 @@ class SweepSpec:
     tol: float | None = None
 
     def grid(self) -> np.ndarray:
+        import numpy as np
+
         if self.scale == "linear":
             return np.linspace(self.start, self.stop, self.points)
         return np.geomspace(self.start, self.stop, self.points)
@@ -370,7 +396,11 @@ def _cmd_sweep(args) -> int:
     spec = parse_sweep_spec(args.spec)
     kind, n = _method_kind(spec.method)
     evaluate = EVALUATORS[spec.space, kind]
-    loaded = finite.read_distance_matrix(spec.matrix) if spec.matrix is not None else None
+    loaded = None
+    if spec.matrix is not None:
+        from . import finite
+
+        loaded = finite.read_distance_matrix(spec.matrix)
     _solver_tol(spec.tol)  # reject a malformed MAGNITUDE_DEFAULT_TOL even if the method ignores it
     rows = []
     for value in spec.grid():

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numeric import DEFAULT_TOL
 from .errors import NonpositiveScale, NotHomogeneous, SingularSystem
-
-#: Default solver tolerance: residual bound and reciprocal-condition floor.
-DEFAULT_TOL = 1e-10
 
 #: Points closer than this are merged when building spaces from coordinates.
 MERGE_TOL = 1e-12

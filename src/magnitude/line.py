@@ -10,14 +10,17 @@ ends plus density 1/2), removal of an open subinterval (which adds atoms of
 mass tanh((b-a)/2)/2 at the new endpoints), and the middle-thirds sets
 obtained by iterating the removal.  Finite subsets of the line need no
 weight equation either: line_points_magnitude sums tanh over their gaps.
+
+numpy (and the finite module) are imported only inside the functions that
+build arrays, so the closed forms and the measure arithmetic need only the
+standard library.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._numeric import tanh_minus_x, tanh_over_x
 from .errors import (
@@ -27,7 +30,9 @@ from .errors import (
     PointOutsideCarrier,
     TooFewPoints,
 )
-from .finite import MERGE_TOL, FiniteMetricSpace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -205,6 +210,8 @@ def weight_equation_residual(
 
 def carrier_probe_points(space: LineSubset, per_interval: int = 100) -> list[float]:
     """Evenly spaced probe points on each carrier interval, endpoints included."""
+    import numpy as np
+
     if per_interval < 1:
         raise ValueError("need at least one probe point per interval")
     pts: list[float] = []
@@ -311,6 +318,10 @@ def finite_approx_points(space: LineSubset, n_grid: int) -> np.ndarray:
     points outside the carrier are dropped.  Sweeping left to right, a point
     within MERGE_TOL of the last point kept is merged into it.
     """
+    import numpy as np
+
+    from .finite import MERGE_TOL
+
     n_grid = int(n_grid)
     if n_grid < 2:
         raise TooFewPoints(f"need at least 2 grid points, got {n_grid}")
@@ -335,6 +346,10 @@ def finite_approx_points(space: LineSubset, n_grid: int) -> np.ndarray:
 
 def finite_approx_line(space: LineSubset, n_grid: int) -> FiniteMetricSpace:
     """Finite approximation on the points of finite_approx_points, distance |x - y|."""
+    import numpy as np
+
+    from .finite import FiniteMetricSpace
+
     xs = finite_approx_points(space, n_grid)
     d = np.abs(xs[:, None] - xs[None, :])
     # |x - y| on a sorted grid is metric by construction.
@@ -363,6 +378,8 @@ def line_points_magnitude(xs) -> tuple[float, float]:
     10.1u |result|, and 11u |result| is returned.  Halving a subnormal gap
     loses at most 2^-1075 per term, far below u |result| >= u.
     """
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError(f"need a nonempty 1-d array of points, got shape {xs.shape}")

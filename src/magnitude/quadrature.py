@@ -22,9 +22,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._numeric import half_x2_over_one_minus_one_plus_x_exp_neg, x_over_one_minus_exp_neg
-from .errors import NoConvergence, NonpositiveLength
-from .spheres import _check_radius, sigma
+from .errors import NoConvergence
+# The two closed forms live in the numpy-free spheres module; they are
+# re-exported here, as the same objects, beside the quadratures they check.
+from .spheres import _check_radius, circle_magnitude_closed, sigma, subspace_sphere2_closed
 
 #: Decay rate at which the integration domain is pre-split near zero.
 _SPLIT_RATE = 50.0
@@ -183,29 +184,6 @@ def recurrence_residuals(
     k_res = (n + 1) * kn2 - n * kn
     i_res = (n + 1) * ((R / (n + 1)) ** 2 + 1.0) * in2 - n * iname
     return k_res, i_res
-
-
-def circle_magnitude_closed(circumference: float) -> float:
-    """Magnitude of the circle of a given circumference.
-
-    The invariant-measure quotient evaluates to l / (2 (1 - e^{-l/2})); the
-    small-l regime goes through a series branch to avoid cancellation.
-    """
-    if not circumference > 0.0 or not math.isfinite(circumference):
-        raise NonpositiveLength(
-            f"circumference must be positive, got {circumference}"
-        )
-    return x_over_one_minus_exp_neg(0.5 * circumference)
-
-
-def subspace_sphere2_closed(R: float) -> float:
-    """Magnitude of the 2-sphere of radius R with the chord metric.
-
-    Closed form 2 R^2 / (1 - e^{-2R} (1 + 2R)), with a series branch for
-    the whole ratio at small R.
-    """
-    _check_radius(R)
-    return half_x2_over_one_minus_one_plus_x_exp_neg(2.0 * R)
 
 
 def subspace_sphere_magnitude_quadrature(

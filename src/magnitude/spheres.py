@@ -2,9 +2,11 @@
 
 The magnitude of the n-sphere of radius R with the geodesic metric has a
 closed form: a polynomial P in R divided by 1 +- e^{-pi R}.  This module
-holds that formula, the polynomial itself with exactly expanded
-coefficients, the intrinsic volumes of round spheres, scalar curvature,
-and the tube-volume and geodesic-sphere identities used to validate them.
+holds that formula, the closed forms of the circle and of the 2-sphere with
+the chord metric, the polynomial itself with exactly expanded coefficients,
+the intrinsic volumes of round spheres, scalar curvature, and the
+tube-volume and geodesic-sphere identities used to validate them.  It needs
+only the standard library, so a closed-form call never imports numpy.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._numeric import x_over_one_minus_exp_neg
-from .errors import EpsilonTooLarge, IndexOutOfRange
+from ._numeric import half_x2_over_one_minus_one_plus_x_exp_neg, x_over_one_minus_exp_neg
+from .errors import EpsilonTooLarge, IndexOutOfRange, NonpositiveLength
 
 
 @lru_cache(maxsize=None)
@@ -72,6 +74,29 @@ def sphere_magnitude_closed(n: int, R: float) -> float:
     for j in range(start, n, 2):
         value *= (R / j) ** 2 + 1.0
     return value
+
+
+def circle_magnitude_closed(circumference: float) -> float:
+    """Magnitude of the circle of a given circumference.
+
+    The invariant-measure quotient evaluates to l / (2 (1 - e^{-l/2})); the
+    small-l regime goes through a series branch to avoid cancellation.
+    """
+    if not circumference > 0.0 or not math.isfinite(circumference):
+        raise NonpositiveLength(
+            f"circumference must be positive, got {circumference}"
+        )
+    return x_over_one_minus_exp_neg(0.5 * circumference)
+
+
+def subspace_sphere2_closed(R: float) -> float:
+    """Magnitude of the 2-sphere of radius R with the chord metric.
+
+    Closed form 2 R^2 / (1 - e^{-2R} (1 + 2R)), with a series branch for
+    the whole ratio at small R.
+    """
+    _check_radius(R)
+    return half_x2_over_one_minus_one_plus_x_exp_neg(2.0 * R)
 
 
 def recurrence_step_check(n: int, R: float) -> float:

@@ -445,13 +445,14 @@ class TestExitCodes:
     def test_no_convergence_exits_three(self, capsys, monkeypatch):
         # analytic sphere integrands essentially never fail to converge, so
         # exercise the dispatcher mapping directly
+        import magnitude.quadrature
         from magnitude.errors import NoConvergence
-        import magnitude.cli as cli_mod
 
         def boom(*args, **kwargs):
             raise NoConvergence("synthetic failure")
 
-        monkeypatch.setattr(cli_mod.quadrature, "sphere_magnitude_quadrature", boom)
+        # The evaluator looks the quotient up on the quadrature module at call time.
+        monkeypatch.setattr(magnitude.quadrature, "sphere_magnitude_quadrature", boom)
         code, _, err = run_cli(
             capsys, "sphere", "--dim", "2", "--radius", "1", "--method", "quadrature"
         )
@@ -566,6 +567,40 @@ class TestLazyLapack:
         proc = run_python(["-c", code], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0] [] False", "0 True"]
+
+
+class TestClosedFormsWithoutNumpy:
+    def test_closed_form_routes_import_neither_numpy_nor_scipy(self, tmp_path):
+        code = textwrap.dedent("""
+            import contextlib, io, sys
+
+            def array_modules():
+                return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+
+            import magnitude
+            magnitude.spheres, magnitude.sphere_magnitude_closed
+            print(array_modules())
+            from magnitude.cli import run
+
+            calls = [
+                ["sphere", "--dim", "2", "--radius", "1.5"],
+                ["sphere", "--dim", "2", "--radius", "1.5", "--metric", "subspace"],
+                ["interval", "--length", "2"],
+                ["circle", "--circumference", "5"],
+                ["cantor", "--length", "3", "--series"],
+                ["cantor", "--length", "3", "--iterative", "--depth", "4"],
+                ["tube-check", "--dim", "3", "--radius", "2", "--epsilon", "0.1"],
+            ]
+            for argv in calls:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = run(argv)
+                print(code, array_modules())
+            from magnitude import FiniteMetricSpace
+            print(FiniteMetricSpace([[0.0, 1.0], [1.0, 0.0]]).n, "numpy" in sys.modules)
+        """)
+        proc = run_python(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]"] + ["0 []"] * 7 + ["2 True"]
 
 
 class TestInputDomain:
