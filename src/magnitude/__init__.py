@@ -120,82 +120,7 @@ _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticExpansion",
-    "DEFAULT_CONFIG",
-    "DEFAULT_TOL",
-    "EpsilonTooLarge",
-    "FiniteMetricSpace",
-    "GermExpansion",
-    "HypothesisViolated",
-    "IllConditionedFit",
-    "IndexOutOfRange",
-    "IntegralResult",
-    "I_integral",
-    "K_integral",
-    "LineSubset",
-    "LineWeightMeasure",
-    "MagnitudeError",
-    "NoConvergence",
-    "NonFiniteResult",
-    "NonpositiveLength",
-    "NonpositiveScale",
-    "NotContained",
-    "NotHomogeneous",
-    "P_polynomial",
-    "PointOutsideCarrier",
-    "QuadratureConfig",
-    "SingularSystem",
-    "SpherePolynomial",
-    "TooFewPoints",
-    "Weighting",
-    "cantor_level_measure",
-    "cantor_level_set",
-    "cantor_magnitude_iterative",
-    "cantor_magnitude_series",
-    "carrier_probe_points",
-    "circle_magnitude_closed",
-    "circle_points",
-    "circle_points_magnitude",
-    "extract_coefficients",
-    "extract_parity_expansion",
-    "extract_subspace_relative_correction",
-    "finite_approx_line",
-    "finite_approx_points",
-    "geodesic_sphere_expansion_check",
-    "integrate_adaptive",
-    "interval_weight_measure",
-    "intrinsic_volume_sphere",
-    "leading_and_subleading_check",
-    "line_points_magnitude",
-    "magnitude_finite",
-    "magnitude_homogeneous_finite",
-    "measure_total_mass",
-    "omega",
-    "penguin_valuation_sphere",
-    "predicted_expansion_intrinsic_sphere",
-    "predicted_relative_correction_intrinsic",
-    "predicted_relative_correction_subspace",
-    "read_distance_matrix",
-    "read_point_cloud",
-    "recurrence_residuals",
-    "recurrence_step_check",
-    "remove_open_interval",
-    "scalar_curvature_sphere",
-    "scale",
-    "sigma",
-    "similarity_matrix",
-    "sphere_magnitude_closed",
-    "sphere_magnitude_quadrature",
-    "subspace_sphere2_closed",
-    "subspace_sphere_magnitude_quadrature",
-    "surface_asymptotics_residual",
-    "tsc_sphere",
-    "tube_volume_check",
-    "watson_partial_sum",
-    "weight_equation_residual",
-    "weighting",
-]
+__all__ = sorted(_SOURCE)
 
 
 def __getattr__(name):

@@ -245,14 +245,17 @@ def _cmd_asymptotics(args) -> int:
     grid = _geometric_grid(args.tmin, args.tmax)
     header = ("power", "extracted", "predicted", "spread")
     if args.metric == "intrinsic":
-        predicted, min_points = asymptotics.predicted_expansion_intrinsic_sphere(n), 4
+        predict, min_points = asymptotics.predicted_expansion_intrinsic_sphere, 4
     else:
-        predicted, min_points = asymptotics.predicted_expansion_subspace_ratio(n), 3
+        predict, min_points = asymptotics.predicted_expansion_subspace_ratio, 3
+    # Predicted coefficients in the order extract_* lists its powers; they
+    # overflow at large dims, as the samples do, so they are guarded too.
+    predicted = _guarded(n, lambda: tuple(c for _, c in predict(n).terms))
     problem = None
     if len(grid) < min_points:
         problem = f"need a doubling grid of at least {min_points} points between tmin and tmax, got {grid}"
-    elif not 1 <= args.orders <= len(predicted.terms):
-        problem = f"--orders must be between 1 and {len(predicted.terms)} for the {args.metric} metric at --dim {n}"
+    elif not 1 <= args.orders <= len(predicted):
+        problem = f"--orders must be between 1 and {len(predicted)} for the {args.metric} metric at --dim {n}"
     if problem is not None:
         # An option error follows the header line, as it always has; a
         # numerical failure leaves stdout empty.
@@ -269,8 +272,8 @@ def _cmd_asymptotics(args) -> int:
         )
     # Every row is computed before the first is written.
     rows = [header]
-    for (power, coeff), spread in list(zip(extracted.terms, extracted.spreads))[: args.orders]:
-        rows.append((power, _fmt(coeff), _fmt(predicted.coefficient(power)), _fmt(spread)))
+    for (power, coeff), spread, expected in zip(extracted.terms, extracted.spreads, predicted[: args.orders]):
+        rows.append((power, _fmt(coeff), _fmt(expected), _fmt(spread)))
     csv.writer(sys.stdout).writerows(rows)
     return 0
 
@@ -344,6 +347,8 @@ def parse_sweep_spec(path) -> SweepSpec:
         points = int(fields["points"])
     except ValueError:
         raise ValueError(f"{path}: start/stop must be numbers and points an integer") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"{path}: start and stop must be finite, got {start} and {stop}")
     if not start < stop:
         raise ValueError(f"{path}: need start < stop, got {start} >= {stop}")
     if points < 2:
@@ -351,6 +356,8 @@ def parse_sweep_spec(path) -> SweepSpec:
     scale = fields.get("scale", "linear")
     if scale not in ("linear", "geometric"):
         raise ValueError(f"{path}: scale must be linear or geometric, got {scale!r}")
+    if scale == "linear" and not math.isfinite(stop - start):
+        raise ValueError(f"{path}: the span stop - start of a linear grid overflows, got {start} to {stop}")
     if scale == "geometric" and not start > 0.0:
         raise ValueError(f"{path}: geometric grids need start > 0, got {start}")
 

@@ -15,10 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numeric import DEFAULT_TOL
-from .errors import NonpositiveScale, NotHomogeneous, SingularSystem
-
-#: Points closer than this are merged when building spaces from coordinates.
-MERGE_TOL = 1e-12
+from .errors import NonpositiveLength, NonpositiveScale, NotHomogeneous, SingularSystem
 
 #: Rows per block of the triangle check; a block works in arrays of
 #: _TRIANGLE_BLOCK x n doubles.
@@ -33,8 +30,6 @@ class FiniteMetricSpace:
     distances : array_like, shape (n, n)
         Symmetric nonnegative matrix with zero diagonal and strictly
         positive off-diagonal entries.
-    labels : sequence of str, optional
-        Point identifiers, kept only for reporting.
     check_triangle : bool
         Verify the triangle inequality on construction.  The check forms
         the n^3/2 sums d[i,j] + d[j,k] with k >= i, in row blocks on every
@@ -44,9 +39,9 @@ class FiniteMetricSpace:
         build provably metric data disable it.
     """
 
-    __slots__ = ("d", "labels")
+    __slots__ = ("d",)
 
-    def __init__(self, distances, labels=None, check_triangle=True):
+    def __init__(self, distances, *, check_triangle=True):
         d = np.array(distances, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {d.shape}")
@@ -69,13 +64,8 @@ class FiniteMetricSpace:
             raise ValueError(f"nonpositive distance between distinct points {i} and {j}")
         if check_triangle:
             _check_triangle(d)
-        if labels is not None:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != n:
-                raise ValueError(f"got {len(labels)} labels for {n} points")
         d.setflags(write=False)
         self.d = d
-        self.labels = labels
 
     @property
     def n(self) -> int:
@@ -226,7 +216,7 @@ def scale(X: FiniteMetricSpace, t: float) -> FiniteMetricSpace:
     with np.errstate(over="ignore"):
         d = X.d * float(t)
     # Scaling preserves all metric axioms; skip the O(n^3) recheck.
-    return FiniteMetricSpace(d, labels=X.labels, check_triangle=False)
+    return FiniteMetricSpace(d, check_triangle=False)
 
 
 def magnitude_homogeneous_finite(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> float:
@@ -246,7 +236,7 @@ def magnitude_homogeneous_finite(X: FiniteMetricSpace, tol: float = DEFAULT_TOL)
 def _circle_distance_row(circumference: float, n: int) -> np.ndarray:
     """Arc-length distances from point 0 to points 0..n-1 of an n-point circle grid."""
     if not circumference > 0.0 or not np.isfinite(circumference):
-        raise NonpositiveScale(
+        raise NonpositiveLength(
             f"circumference must be positive and finite, got {circumference}"
         )
     if n < 1:

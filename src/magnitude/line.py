@@ -34,6 +34,9 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
+#: Points of a finite approximation closer than this are merged.
+MERGE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class LineSubset:
@@ -61,10 +64,6 @@ class LineSubset:
     @property
     def hull(self) -> tuple[float, float]:
         return self.intervals[0][0], self.intervals[-1][1]
-
-    @property
-    def total_length(self) -> float:
-        return sum(b - a for a, b in self.intervals)
 
     def contains(self, y: float) -> bool:
         return any(a <= y <= b for a, b in self.intervals)
@@ -115,7 +114,7 @@ def interval_weight_measure(length: float) -> tuple[LineSubset, LineWeightMeasur
     mass 1 + length/2.
     """
     if not length > 0.0 or not math.isfinite(length):
-        raise NonpositiveLength(f"interval length must be positive, got {length}")
+        raise NonpositiveLength(f"interval length must be positive and finite, got {length}")
     space = LineSubset(((0.0, length),))
     measure = LineWeightMeasure(
         atoms=((0.0, 0.5), (length, 0.5)),
@@ -237,7 +236,7 @@ def cantor_magnitude_series(length: float, tol: float) -> float:
     full series.
     """
     if not length > 0.0 or not math.isfinite(length):
-        raise NonpositiveLength(f"length must be positive, got {length}")
+        raise NonpositiveLength(f"length must be positive and finite, got {length}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     total = 1.0
@@ -265,7 +264,7 @@ def cantor_magnitude_iterative(length: float, depth: int) -> float:
     each removal changes the mass by -len/2 + tanh(len/2).
     """
     if not length > 0.0 or not math.isfinite(length):
-        raise NonpositiveLength(f"length must be positive, got {length}")
+        raise NonpositiveLength(f"length must be positive and finite, got {length}")
     depth = int(depth)
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -281,7 +280,7 @@ def cantor_magnitude_iterative(length: float, depth: int) -> float:
 def cantor_level_set(length: float, depth: int) -> LineSubset:
     """Carrier after `depth` rounds of middle-third removal: 2^depth intervals."""
     if not length > 0.0 or not math.isfinite(length):
-        raise NonpositiveLength(f"length must be positive, got {length}")
+        raise NonpositiveLength(f"length must be positive and finite, got {length}")
     depth = int(depth)
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -319,8 +318,6 @@ def finite_approx_points(space: LineSubset, n_grid: int) -> np.ndarray:
     within MERGE_TOL of the last point kept is merged into it.
     """
     import numpy as np
-
-    from .finite import MERGE_TOL
 
     n_grid = int(n_grid)
     if n_grid < 2:

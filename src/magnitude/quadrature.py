@@ -19,13 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import NoConvergence
-# The two closed forms live in the numpy-free spheres module; they are
-# re-exported here, as the same objects, beside the quadratures they check.
-from .spheres import _check_radius, circle_magnitude_closed, sigma, subspace_sphere2_closed
+# The chord-metric closed form lives in the numpy-free spheres module; it is
+# re-exported here, as the same object, beside the quadrature it checks.
+from .spheres import _check_radius, sigma, subspace_sphere2_closed
 
 #: Decay rate at which the integration domain is pre-split near zero.
 _SPLIT_RATE = 50.0
@@ -35,22 +36,17 @@ _SPLIT_SCALE = 30.0
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerance and refinement policy for smooth 1-D integrals."""
+    """Tolerance of smooth 1-D integrals: only rel_tol varies per call; the
+    panel order, bisection limit and absolute floor are class constants."""
 
     rel_tol: float = 1e-12
-    abs_tol: float = 1e-300
-    panel_order: int = 15
-    max_refinements: int = 20
+    abs_tol: ClassVar[float] = 1e-300
+    panel_order: ClassVar[int] = 15
+    max_refinements: ClassVar[int] = 20
 
     def __post_init__(self):
         if not self.rel_tol > 0.0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if not self.abs_tol > 0.0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.panel_order < 4:
-            raise ValueError(f"panel_order must be >= 4, got {self.panel_order}")
-        if self.max_refinements < 1:
-            raise ValueError(f"max_refinements must be >= 1, got {self.max_refinements}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()

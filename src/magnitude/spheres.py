@@ -23,27 +23,31 @@ from .errors import EpsilonTooLarge, IndexOutOfRange, NonpositiveLength
 @lru_cache(maxsize=None)
 def omega(k: int) -> float:
     """Volume of the unit k-ball: omega_0 = 1, omega_1 = 2, omega_k = (2 pi / k) omega_{k-2}."""
-    k = int(k)
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    if k == 0:
-        return 1.0
-    if k == 1:
-        return 2.0
-    return 2.0 * math.pi / k * omega(k - 2)
+    return _unit_volume(k, (1.0, 2.0), 0)
 
 
 @lru_cache(maxsize=None)
 def sigma(k: int) -> float:
     """Volume of the unit k-sphere: sigma_0 = 2, sigma_1 = 2 pi, sigma_k = (2 pi / (k-1)) sigma_{k-2}."""
+    return _unit_volume(k, (2.0, 2.0 * math.pi), 1)
+
+
+def _unit_volume(k: int, bases: tuple[float, float], shift: int) -> float:
+    """bases[k % 2] times 2 pi / (j - shift) for j = k % 2 + 2, k % 2 + 4, ..., k.
+
+    Each step multiplies as the recurrence reads, so the result has the bits
+    of the recursive definition without its depth.  Both volumes underflow
+    to 0 by k = 455, and every later step keeps 0, so the loop stops there.
+    """
     k = int(k)
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    if k == 0:
-        return 2.0
-    if k == 1:
-        return 2.0 * math.pi
-    return 2.0 * math.pi / (k - 1) * sigma(k - 2)
+    value = bases[k % 2]
+    for j in range(k % 2 + 2, k + 1, 2):
+        if value == 0.0:
+            break
+        value = 2.0 * math.pi / (j - shift) * value
+    return value
 
 
 def _check_radius(R: float):
@@ -84,7 +88,7 @@ def circle_magnitude_closed(circumference: float) -> float:
     """
     if not circumference > 0.0 or not math.isfinite(circumference):
         raise NonpositiveLength(
-            f"circumference must be positive, got {circumference}"
+            f"circumference must be positive and finite, got {circumference}"
         )
     return x_over_one_minus_exp_neg(0.5 * circumference)
 

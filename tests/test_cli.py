@@ -727,14 +727,33 @@ class TestNoWarningLeaks:
         ["tube-check", "--dim", "3", "--radius", "1e308", "--epsilon", "1"],
         ["tube-check", "--dim", "3", "--radius", "1e-300", "--epsilon", "1e-301"],
         ["tube-check", "--dim", "1", "--radius", "1e6", "--epsilon", "1e-300"],
+        # Past dim ~987 the recursive ball and sphere volumes ran out of stack.
+        ["tube-check", "--dim", "1990", "--radius", "2", "--epsilon", "1"],
+        ["sphere", "--dim", "1990", "--radius", "2", "--metric", "subspace", "--method", "quadrature"],
+        # The predicted volume coefficient needs 171! as a float.
+        ["asymptotics", "--metric", "intrinsic", "--dim", "171", "--orders", "3",
+         "--tmin", "1", "--tmax", "8"],
     ], ids=["sphere-quadrature", "asymptotics-intrinsic", "asymptotics-subspace",
-            "asymptotics-subspace-fit", "tube-check-overflow", "tube-check-tiny", "tube-check-thin-shell"])
+            "asymptotics-subspace-fit", "tube-check-overflow", "tube-check-tiny", "tube-check-thin-shell",
+            "tube-check-large-dim", "sphere-subspace-large-dim", "asymptotics-prediction-overflow"])
     def test_out_of_range_exits_three_cleanly(self, tmp_path, argv):
         proc = run_python(["-m", "magnitude", *argv], tmp_path)
         assert proc.returncode == 3, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr.startswith("NonFiniteResult: ")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("bounds", ["start=1\nstop=inf", "start=-1.7e308\nstop=1.7e308"],
+                             ids=["infinite-stop", "span-overflow"])
+    def test_nonfinite_sweep_grid_exits_two_cleanly(self, tmp_path, bounds):
+        (tmp_path / "s.spec").write_text(f"space=interval\nmethod=closed\n{bounds}\npoints=3\n")
+        proc = run_python(["-m", "magnitude", "sweep", "--spec", "s.spec", "--out", "o.csv"],
+                          tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("ValueError: s.spec: ")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
 
     def test_distances_near_the_double_maximum(self, tmp_path):
         # Pair sums in the triangle check overflow to inf, which is no violation.

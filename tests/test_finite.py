@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from magnitude import finite
 from magnitude import (
     FiniteMetricSpace,
+    NonpositiveLength,
     NonpositiveScale,
     NotHomogeneous,
     SingularSystem,
@@ -72,9 +73,9 @@ class TestConstruction:
         d = np.abs(xs[:, None] - xs[None, :])
         FiniteMetricSpace(d)  # equality case must not trip on roundoff
 
-    def test_labels_checked(self):
-        with pytest.raises(ValueError, match="labels"):
-            FiniteMetricSpace([[0.0, 1.0], [1.0, 0.0]], labels=["a"])
+    def test_check_triangle_is_keyword_only(self):
+        with pytest.raises(TypeError, match="positional"):
+            FiniteMetricSpace([[0.0, 1.0], [1.0, 0.0]], False)
 
 
 def naive_triangle_violations(d):
@@ -290,10 +291,6 @@ class TestScale:
         m = magnitude_finite(scale(X, t))
         assert abs(m - 12.0) < 1e-9
 
-    def test_labels_preserved(self):
-        X = FiniteMetricSpace([[0.0, 1.0], [1.0, 0.0]], labels=("a", "b"))
-        assert scale(X, 2.0).labels == ("a", "b")
-
 
 class TestHomogeneous:
     def test_equilateral_is_homogeneous(self):
@@ -358,9 +355,9 @@ class TestCirclePointsMagnitude:
 
     @pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_circumference(self, c):
-        with pytest.raises(NonpositiveScale):
+        with pytest.raises(NonpositiveLength):
             circle_points_magnitude(c, 5)
-        with pytest.raises(NonpositiveScale):
+        with pytest.raises(NonpositiveLength):
             circle_points(c, 5)
 
     def test_rejects_empty_grid(self):

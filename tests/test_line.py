@@ -31,7 +31,7 @@ from magnitude import (
     remove_open_interval,
     weight_equation_residual,
 )
-from magnitude.finite import MERGE_TOL
+from magnitude.line import MERGE_TOL
 
 
 def max_residual(space, measure, per_interval=100):

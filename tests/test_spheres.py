@@ -43,6 +43,20 @@ class TestBallSphereVolumes:
         for k in range(1, 13):
             assert sigma(k - 1) == pytest.approx(k * omega(k), rel=1e-14)
 
+    def test_loop_has_the_bits_of_the_recurrence(self):
+        # The recursive definitions, evaluated bottom up.
+        om, sg = [1.0, 2.0], [2.0, 2.0 * math.pi]
+        for k in range(2, 301):
+            om.append(2.0 * math.pi / k * om[k - 2])
+            sg.append(2.0 * math.pi / (k - 1) * sg[k - 2])
+        assert [omega(k) for k in range(301)] == om
+        assert [sigma(k) for k in range(301)] == sg
+
+    def test_large_k_underflows_without_recursion(self):
+        assert omega(453) == 0.0 < omega(451)
+        assert sigma(455) == 0.0 < sigma(453)
+        assert omega(10**9) == sigma(10**9 + 1) == 0.0
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             omega(-1)
