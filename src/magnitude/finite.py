@@ -21,6 +21,9 @@ from .errors import NonpositiveLength, NonpositiveScale, NotHomogeneous, Singula
 #: _TRIANGLE_BLOCK x n doubles.
 _TRIANGLE_BLOCK = 64
 
+#: Rows of the similarity matrix per block of the weight-equation residual.
+_RESIDUAL_BLOCK = 64
+
 
 class FiniteMetricSpace:
     """Immutable finite metric space backed by a dense distance matrix.
@@ -58,9 +61,11 @@ class FiniteMetricSpace:
         if not np.array_equal(d, d.T):
             i, j = map(int, np.argwhere(d != d.T)[0])
             raise ValueError(f"asymmetric distances at row {i}, column {j}")
-        offdiag = ~np.eye(n, dtype=bool)
-        if np.any(d[offdiag] <= 0.0):
-            i, j = map(int, np.argwhere((d <= 0.0) & offdiag)[0])
+        # The n zeros of the diagonal are the only entries allowed to be <= 0.
+        if np.count_nonzero(d <= 0.0) > n:
+            bad = d <= 0.0
+            np.fill_diagonal(bad, False)
+            i, j = map(int, np.argwhere(bad)[0])
             raise ValueError(f"nonpositive distance between distinct points {i} and {j}")
         if check_triangle:
             _check_triangle(d)
@@ -160,6 +165,10 @@ def similarity_matrix(X: FiniteMetricSpace) -> np.ndarray:
 def weighting(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Weighting:
     """Solve the weight equation for X.
 
+    Besides X.d the solve holds one n x n array: the similarity matrix,
+    built in place and then overwritten by its LU factors.  The residual is
+    formed from X.d in blocks of _RESIDUAL_BLOCK rows.
+
     Raises
     ------
     SingularSystem
@@ -173,10 +182,14 @@ def weighting(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Weighting:
 
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
-    Z = similarity_matrix(X)
-    anorm = float(np.linalg.norm(Z, 1))
+    Z = np.negative(X.d)
+    np.exp(Z, out=Z)
+    # The 1-norm is the largest column sum; Z > 0, so no abs is needed.
+    anorm = float(Z.sum(axis=0).max())
     getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (Z,))
-    lu, piv, info = getrf(Z, overwrite_a=False)
+    # Z is exactly symmetric, so Z.T is Z in Fortran order, which getrf
+    # factors in place without a copy.
+    lu, piv, info = getrf(Z.T, overwrite_a=True)
     if info > 0:
         raise SingularSystem("similarity matrix is exactly singular (zero pivot)")
     if info < 0:
@@ -189,18 +202,33 @@ def weighting(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Weighting:
         )
     ones = np.ones(X.n)
     w, info = getrs(lu, piv, ones)
-    residual = Z @ w - 1.0
+    residual = _residual(X.d, w)
     rnorm = float(np.abs(residual).max())
     if rnorm > tol:
         corr, info = getrs(lu, piv, residual)
         w = w - corr
-        rnorm = float(np.abs(Z @ w - 1.0).max())
+        rnorm = float(np.abs(_residual(X.d, w)).max())
         if rnorm > tol:
             raise SingularSystem(
                 f"weight-equation residual {rnorm:.3e} exceeds tol {tol:.3e}"
             )
     w.setflags(write=False)
     return Weighting(w=w, residual_norm=rnorm, rcond=rcond)
+
+
+def _residual(d, w):
+    """Z w - 1 for Z = exp(-d), with Z built _RESIDUAL_BLOCK rows at a time."""
+    n = d.shape[0]
+    out = np.empty(n)
+    buffer = np.empty((min(n, _RESIDUAL_BLOCK), n))
+    for i0 in range(0, n, _RESIDUAL_BLOCK):
+        block = d[i0:i0 + _RESIDUAL_BLOCK]
+        rows = buffer[:len(block)]
+        np.negative(block, out=rows)
+        np.exp(rows, out=rows)
+        np.matmul(rows, w, out=out[i0:i0 + len(block)])
+    out -= 1.0
+    return out
 
 
 def magnitude_finite(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> float:
@@ -268,53 +296,104 @@ def circle_points_magnitude(circumference: float, n: int) -> float:
     return n / float(np.exp(-row).sum())
 
 
-def _read_csv_rows(path) -> list[tuple[int, list[float]]]:
-    """Non-blank lines of a numeric CSV file as (line number, values) pairs."""
-    rows = []
+def _data_lines(lines):
+    """(line number, stripped line) for the non-blank lines of a text file."""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line:
+            yield lineno, line
+
+
+def _tokens(line):
+    """The comma-separated tokens of line, one at a time."""
+    start = 0
+    while (end := line.find(",", start)) >= 0:
+        yield line[start:end]
+        start = end + 1
+    yield line[start:]
+
+
+def _parse_row(path, lineno, line, out):
+    """Store the numbers of a data line in out, or only check them when out is None.
+
+    A token that float() rejects raises ValueError naming its row and column.
+    """
+    if out is not None:
+        try:
+            out[:] = list(map(float, line.split(",")))
+            return
+        except ValueError:
+            pass
+    # One token at a time, so that a long line that is not stored costs
+    # no more memory than its text.
+    for col, tok in enumerate(_tokens(line), start=1):
+        try:
+            float(tok)
+        except ValueError:
+            raise ValueError(
+                f"{path}: row {lineno}, column {col}: not a number: {tok.strip()!r}"
+            ) from None
+
+
+def _read_rows(path, square: bool) -> np.ndarray:
+    """The data lines of a numeric CSV file as the rows of one float array.
+
+    Blank lines are skipped.  A square file has as many columns as data
+    lines; otherwise every row has as many entries as the first.  The file
+    is read twice, once to count its data lines and once to parse each line
+    into its row, so that the array and one line of text are all it holds.
+    Errors come in this order: the first token in the file that is not a
+    number, an empty file, then the first row of the wrong length.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            entries = []
-            for col, tok in enumerate(line.split(","), start=1):
-                try:
-                    entries.append(float(tok))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {lineno}, column {col}: not a number: {tok.strip()!r}"
-                    ) from None
-            rows.append((lineno, entries))
-    if not rows:
+        # A pipe cannot be read twice; its lines are kept as text instead.
+        lines = fh if fh.seekable() else fh.readlines()
+        n = 0
+        try:
+            for _ in _data_lines(lines):
+                n += 1
+        except UnicodeDecodeError:
+            pass  # the parse below meets it after the same lines
+        if lines is fh:
+            fh.seek(0)
+        ragged = None
+        for i, (lineno, line) in enumerate(_data_lines(lines)):
+            width = line.count(",") + 1
+            if i == 0:
+                expected = n if square else width
+                # Allocated only when the first row fits it.
+                table = np.empty((n, expected)) if width == expected else None
+            if ragged is None and width == expected:
+                _parse_row(path, lineno, line, table[i])
+            else:
+                # The file is rejected, but a non-number anywhere in it
+                # takes precedence, so its tokens are still checked.
+                _parse_row(path, lineno, line, None)
+                if ragged is None:
+                    ragged = lineno, width
+    if n == 0:
         raise ValueError(f"{path}: no data rows")
-    return rows
+    if ragged is not None:
+        lineno, width = ragged
+        unit = "columns" if square else "coordinates"
+        raise ValueError(f"{path}: row {lineno}: expected {expected} {unit}, got {width}")
+    return table
 
 
 def read_distance_matrix(path) -> FiniteMetricSpace:
     """Load a distance matrix from CSV: one row per line, comma-separated.
 
-    Validation errors name the offending row and column (1-based).
+    Validation errors name the offending row and column (1-based).  Each
+    line is parsed straight into its row of one n x n array, which the
+    constructor copies: a dense call holds the distance matrix plus one
+    n x n working array, here and in weighting.
     """
-    rows = _read_csv_rows(path)
-    n = len(rows)
-    for lineno, entries in rows:
-        if len(entries) != n:
-            raise ValueError(
-                f"{path}: row {lineno}: expected {n} columns, got {len(entries)}"
-            )
-    return FiniteMetricSpace([entries for _, entries in rows])
+    return FiniteMetricSpace(_read_rows(path, square=True))
 
 
 def read_point_cloud(path) -> FiniteMetricSpace:
     """Load a Euclidean point cloud from CSV: one point per line."""
-    pts = _read_csv_rows(path)
-    dim = len(pts[0][1])
-    for lineno, coords in pts:
-        if len(coords) != dim:
-            raise ValueError(
-                f"{path}: row {lineno}: expected {dim} coordinates, got {len(coords)}"
-            )
-    arr = np.array([coords for _, coords in pts])
+    arr = _read_rows(path, square=False)
     diff = arr[:, None, :] - arr[None, :, :]
     d = np.sqrt((diff * diff).sum(axis=2))
     np.fill_diagonal(d, 0.0)

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NoConvergence
 # The chord-metric closed form lives in the numpy-free spheres module; it is
 # re-exported here, as the same object, beside the quadrature it checks.
-from .spheres import _check_radius, sigma, subspace_sphere2_closed
+from .spheres import _check_radius, _scaled_sigma, subspace_sphere2_closed
 
 #: Decay rate at which the integration domain is pre-split near zero.
 _SPLIT_RATE = 50.0
@@ -196,5 +196,9 @@ def subspace_sphere_magnitude_quadrature(
         raise ValueError(f"need n >= 1, got {n}")
     _check_radius(R)
     f = lambda t: np.exp(-2.0 * R * np.sin(0.5 * t)) * np.sin(t) ** (n - 1)
-    j = _integrate_decaying(f, math.pi, R, cfg).value
-    return sigma(n) / (sigma(n - 1) * j)
+    j = float(_integrate_decaying(f, math.pi, R, cfg).value)
+    # sigma_n / (sigma_{n-1} J) on the mantissas, then the power of two: the
+    # volumes are subnormal from n = 438 on, the quotient is not.
+    top, top_exp = _scaled_sigma(n)
+    bottom, bottom_exp = _scaled_sigma(n - 1)
+    return math.ldexp(top / (bottom * j), top_exp - bottom_exp)

@@ -23,31 +23,49 @@ from .errors import EpsilonTooLarge, IndexOutOfRange, NonpositiveLength
 @lru_cache(maxsize=None)
 def omega(k: int) -> float:
     """Volume of the unit k-ball: omega_0 = 1, omega_1 = 2, omega_k = (2 pi / k) omega_{k-2}."""
-    return _unit_volume(k, (1.0, 2.0), 0)
+    return math.ldexp(*_unit_volume(k, (1.0, 2.0), 0))
 
 
 @lru_cache(maxsize=None)
 def sigma(k: int) -> float:
     """Volume of the unit k-sphere: sigma_0 = 2, sigma_1 = 2 pi, sigma_k = (2 pi / (k-1)) sigma_{k-2}."""
-    return _unit_volume(k, (2.0, 2.0 * math.pi), 1)
+    return math.ldexp(*_unit_volume(k, (2.0, 2.0 * math.pi), 1))
 
 
-def _unit_volume(k: int, bases: tuple[float, float], shift: int) -> float:
-    """bases[k % 2] times 2 pi / (j - shift) for j = k % 2 + 2, k % 2 + 4, ..., k.
+def _scaled_sigma(k: int) -> tuple[float, int]:
+    """sigma(k) as (m, e) with sigma(k) = m 2^e and 0.5 <= m < 1.
 
-    Each step multiplies as the recurrence reads, so the result has the bits
-    of the recursive definition without its depth.  Both volumes underflow
-    to 0 by k = 455, and every later step keeps 0, so the loop stops there.
+    Unlike sigma(k), which is subnormal from k = 438 on and 0 from 455, it
+    keeps every bit at any k, in O(k) steps.
+    """
+    return _unit_volume(k, (2.0, 2.0 * math.pi), 1, whole=True)
+
+
+#: m 2^e with 0.5 <= m < 1 rounds to 0.0 for every e below this.
+_ZERO_EXPONENT = -1074
+
+
+def _unit_volume(
+    k: int, bases: tuple[float, float], shift: int, whole: bool = False
+) -> tuple[float, int]:
+    """(m, e) with m 2^e = bases[k % 2] times 2 pi / (j - shift) for j = k % 2 + 2, k % 2 + 4, ..., k.
+
+    Each step multiplies m as the recurrence reads, then moves the power of
+    two into e.  Scaling by a power of two is exact, so m 2^e never
+    underflows, and a volume that is a normal double has the bits of the
+    recursive definition.  Unless whole is set, the loop stops once m 2^e
+    rounds to 0 as a double: the volumes only shrink from there on.
     """
     k = int(k)
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    value = bases[k % 2]
+    m, e = math.frexp(bases[k % 2])
     for j in range(k % 2 + 2, k + 1, 2):
-        if value == 0.0:
+        if e < _ZERO_EXPONENT and not whole:
             break
-        value = 2.0 * math.pi / (j - shift) * value
-    return value
+        m, step = math.frexp(2.0 * math.pi / (j - shift) * m)
+        e += step
+    return m, e
 
 
 def _check_radius(R: float):

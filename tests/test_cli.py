@@ -629,6 +629,16 @@ class TestInputDomain:
         assert code == 0
         assert float(out) == 1.0
 
+    @pytest.mark.parametrize("dim, exact", [
+        ("450", 16.86796867898801), ("453", 16.868305300057422), ("454", 16.868416519065291),
+    ], ids=["450", "453", "454"])
+    def test_subspace_quadrature_past_the_volume_underflow(self, capsys, dim, exact):
+        # 40-digit mpmath values; these dims printed 16.874..., 10 and exited 3.
+        code, out, _ = run_cli(capsys, "sphere", "--dim", dim, "--radius", "2",
+                               "--metric", "subspace", "--method", "quadrature")
+        assert code == 0
+        assert float(out) == pytest.approx(exact, rel=1e-12)
+
     @pytest.mark.parametrize("metric", ["intrinsic", "subspace"])
     @pytest.mark.parametrize("method", ["closed", "quadrature"])
     @pytest.mark.parametrize("radius", ["inf", "nan"])
@@ -729,19 +739,30 @@ class TestNoWarningLeaks:
         ["tube-check", "--dim", "1", "--radius", "1e6", "--epsilon", "1e-300"],
         # Past dim ~987 the recursive ball and sphere volumes ran out of stack.
         ["tube-check", "--dim", "1990", "--radius", "2", "--epsilon", "1"],
-        ["sphere", "--dim", "1990", "--radius", "2", "--metric", "subspace", "--method", "quadrature"],
         # The predicted volume coefficient needs 171! as a float.
         ["asymptotics", "--metric", "intrinsic", "--dim", "171", "--orders", "3",
          "--tmin", "1", "--tmax", "8"],
     ], ids=["sphere-quadrature", "asymptotics-intrinsic", "asymptotics-subspace",
             "asymptotics-subspace-fit", "tube-check-overflow", "tube-check-tiny", "tube-check-thin-shell",
-            "tube-check-large-dim", "sphere-subspace-large-dim", "asymptotics-prediction-overflow"])
+            "tube-check-large-dim", "asymptotics-prediction-overflow"])
     def test_out_of_range_exits_three_cleanly(self, tmp_path, argv):
         proc = run_python(["-m", "magnitude", *argv], tmp_path)
         assert proc.returncode == 3, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr.startswith("NonFiniteResult: ")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, exact", [
+        (["sphere", "--dim", "1990", "--radius", "2", "--metric", "subspace", "--method", "quadrature"],
+         16.907322395593380),
+    ], ids=["sphere-subspace-large-dim"])
+    def test_large_dim_exits_zero_cleanly(self, tmp_path, argv, exact):
+        # The sphere volumes in the quotient underflow from dim 455 on, where
+        # it exited 3; the value is a 40-digit mpmath one.
+        proc = run_python(["-m", "magnitude", *argv], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert float(proc.stdout) == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("bounds", ["start=1\nstop=inf", "start=-1.7e308\nstop=1.7e308"],
                              ids=["infinite-stop", "span-overflow"])

@@ -1,7 +1,9 @@
 """Tests for finite metric spaces and the weight-equation solver."""
 
 import math
+import os
 import re
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -371,6 +373,42 @@ class TestCirclePointsMagnitude:
         assert circle_points_magnitude(5e-324, 1) == 1.0
 
 
+class TestWorkingSet:
+    """The n x n arrays a dense call holds, counted by tracemalloc at n = 300.
+
+    Reading holds the parsed matrix and the constructor's copy; the triangle
+    check's row blocks are about 1.3 more at this n.  Solving holds the
+    similarity matrix, factored in place, and blocks of its rows.
+    """
+
+    n = 300
+
+    def test_reading(self, tmp_path):
+        path = tmp_path / "d.csv"
+        np.savetxt(path, random_euclidean(self.n, seed=7).d, fmt="%.17g", delimiter=",")
+        read_distance_matrix(path)  # first-call imports
+        tracemalloc.start()
+        try:
+            X = read_distance_matrix(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert X.n == self.n
+        assert peak < 4 * 8 * self.n**2
+
+    def test_solving(self):
+        X = random_euclidean(self.n, seed=7)
+        expected = weighting(X)  # loads LAPACK
+        tracemalloc.start()
+        try:
+            w = weighting(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w.w.tobytes() == expected.w.tobytes()
+        assert peak < 1.5 * 8 * self.n**2
+
+
 class TestIO:
     def test_distance_matrix_roundtrip(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -434,3 +472,131 @@ class TestIO:
         p.write_text("")
         with pytest.raises(ValueError, match="no data"):
             read_distance_matrix(p)
+
+
+def list_reader(path, square=True):
+    """The list-based reader that the streaming one replaced, kept as its reference.
+
+    It parses every data line into a list of floats, then checks the row
+    lengths: columns against the number of rows for a distance matrix,
+    coordinates against the first row for a point cloud.
+    """
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            entries = []
+            for col, tok in enumerate(line.split(","), start=1):
+                try:
+                    entries.append(float(tok))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {lineno}, column {col}: not a number: {tok.strip()!r}"
+                    ) from None
+            rows.append((lineno, entries))
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    width = len(rows) if square else len(rows[0][1])
+    unit = "columns" if square else "coordinates"
+    for lineno, entries in rows:
+        if len(entries) != width:
+            raise ValueError(f"{path}: row {lineno}: expected {width} {unit}, got {len(entries)}")
+    return np.array([entries for _, entries in rows])
+
+
+def outcome(read, path):
+    """(shape, bytes) of what read returns, or the text of its ValueError."""
+    try:
+        a = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return a.shape, a.tobytes()
+
+
+#: Tokens float() accepts, in the spellings a CSV file may hold, and some it rejects.
+NUMBERS = ["0", "1", "-0", "2.5", " 3 ", "\t4", "1e3", "1_0", "inf", "-inf", "nan", "1e999"]
+NON_NUMBERS = ["", "x", "0x1", "1 2", "1__0", "--1", "nan1"]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text of mostly square tables, some ragged, with blank and padded lines."""
+    n = draw(st.integers(1, 6))
+    sizes = st.sampled_from([n, n, n, n - 1, n + 1]).map(lambda k: max(k, 1))
+    pool = NUMBERS if draw(st.integers(0, 3)) else NUMBERS + NON_NUMBERS
+    lines = []
+    for _ in range(draw(sizes)):
+        lines += draw(st.lists(st.sampled_from(["", "  ", "\t", " \x0c "]), max_size=2))
+        tokens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))
+        width = draw(sizes)
+        lines.append(",".join((tokens * width)[:width]))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+class TestStreamingReader:
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_texts(), square=st.booleans())
+    def test_agrees_with_the_list_reader(self, tmp_path_factory, text, square):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = outcome(lambda p: list_reader(p, square), path)
+        assert outcome(lambda p: finite._read_rows(p, square), path) == expected
+
+    @pytest.mark.parametrize("text", [
+        "0,1\n1,x\n1,2,3\n",       # a non-number after a ragged row is named first
+        "0,1,2\n1,0\n",            # wider than the row count: row 1 is ragged
+        "0\n1\n",                  # narrower than the row count
+        "\n\n0,1\n\n1,0,y\n",      # line numbers count blank lines
+        "0,1\r\n1,0\r\n",
+        " \n\t\n",
+    ], ids=["non-number-after-ragged-row", "wider", "narrower", "blank-lines", "crlf", "only-blank"])
+    def test_messages(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        for square in (True, False):
+            expected = outcome(lambda p: list_reader(p, square), path)
+            assert outcome(lambda p: finite._read_rows(p, square), path) == expected
+
+    @pytest.mark.parametrize("head", [b"0\n" * 5000, b"x\n" + b"0\n" * 5000],
+                             ids=["numbers-first", "non-number-first"])
+    def test_undecodable_bytes(self, tmp_path, head):
+        # Text is decoded a chunk at a time; a non-number in an earlier chunk
+        # is named before the bytes that are not UTF-8.
+        path = tmp_path / "d.csv"
+        path.write_bytes(head + b"\xff\n")
+        expected = outcome(list_reader, path)
+        assert outcome(lambda p: finite._read_rows(p, True), path) == expected
+
+    def test_reads_from_a_pipe(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=("0,1\n1,0\n",), daemon=True)
+        writer.start()
+        X = read_distance_matrix(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert X.d.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    @pytest.mark.parametrize("text, message", [
+        ("0\n" * 100000, "row 1: expected 100000 columns, got 1"),
+        (",".join(["0"] * 100000) + "\n", "row 1: expected 1 columns, got 100000"),
+    ], ids=["100000-lines", "100000-columns"])
+    def test_long_files_are_rejected_in_constant_memory(self, tmp_path, capsys, text, message):
+        from magnitude import cli
+
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        cli.run(["finite", "--matrix", str(tmp_path / "missing.csv")])  # first-call imports
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = cli.run(["finite", "--matrix", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == f"ValueError: {path}: {message}\n"
+        assert peak < 2**20

@@ -1,10 +1,15 @@
 """Tests for adaptive quadrature and the homogeneous-space quotients."""
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
+from magnitude import quadrature
+from magnitude.quadrature import _integrate_decaying
+from magnitude.spheres import sigma
 from magnitude import (
     I_integral,
     K_integral,
@@ -225,3 +230,44 @@ class TestSubspaceSphere:
                 sub = subspace_sphere_magnitude_quadrature(n, R)
                 intr = sphere_magnitude_closed(n, R)
                 assert sub < intr
+
+
+class TestSubspaceQuotientAtLargeDims:
+    """sigma_n / (sigma_{n-1} J) once the volumes leave the normal range (n >= 438)."""
+
+    @pytest.mark.parametrize("R", [0.5, 2.0, 20.0])
+    def test_keeps_the_bits_of_the_volume_quotient(self, monkeypatch, R):
+        integrals = []
+
+        def recorded(*args):
+            result = _integrate_decaying(*args)
+            integrals.append(result.value)
+            return result
+
+        monkeypatch.setattr(quadrature, "_integrate_decaying", recorded)
+        compared = 0
+        for n in range(1, 438):
+            value = subspace_sphere_magnitude_quadrature(n, R)
+            bottom = sigma(n - 1) * integrals[-1]
+            # The expression it replaced, wherever that one kept its bits.
+            if bottom >= sys.float_info.min:
+                assert value == sigma(n) / bottom
+                compared += 1
+        assert compared >= 420
+
+    @pytest.mark.parametrize("R", [0.5, 2.0, 20.0])
+    @pytest.mark.parametrize("n", [438, 450, 453, 454, 1000, 4000])
+    def test_against_mpmath(self, n, R):
+        with mpmath.workdps(40):
+            m, r = mpmath.mpf(n), mpmath.mpf(R)
+            # sigma_n / sigma_{n-1} = sqrt(pi) Gamma(n/2) / Gamma((n+1)/2)
+            ratio = mpmath.sqrt(mpmath.pi) * mpmath.exp(
+                mpmath.loggamma(m / 2) - mpmath.loggamma((m + 1) / 2))
+            f = lambda t: mpmath.exp(-2 * r * mpmath.sin(t / 2)) * mpmath.sin(t) ** (m - 1)
+            # sin^(n-1) puts the mass within a few 1/sqrt(n) of pi/2.
+            width = 1 / mpmath.sqrt(m)
+            peak = [mpmath.pi / 2 + k * width for k in range(-12, 13)]
+            j = mpmath.quad(f, [0, *(t for t in peak if 0 < t < mpmath.pi), mpmath.pi])
+            exact = ratio / j
+            value = subspace_sphere_magnitude_quadrature(n, R)
+            assert abs(value - exact) <= 1e-9 * exact

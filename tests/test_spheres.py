@@ -23,6 +23,7 @@ from magnitude import (
     tsc_sphere,
     tube_volume_check,
 )
+from magnitude.spheres import _scaled_sigma
 
 
 class TestBallSphereVolumes:
@@ -60,6 +61,17 @@ class TestBallSphereVolumes:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             omega(-1)
+
+    def test_scaled_volume_keeps_every_bit(self):
+        for k in range(456):
+            m, e = _scaled_sigma(k)
+            assert 0.5 <= m < 1.0
+            assert math.ldexp(m, e) == sigma(k)
+        # Past the double range, against sigma_k / sigma_{k-1} = sqrt(pi) Gamma(k/2) / Gamma((k+1)/2).
+        for k in (438, 455, 1000, 4001):
+            (m, e), (m1, e1) = _scaled_sigma(k), _scaled_sigma(k - 1)
+            exact = math.sqrt(math.pi) * math.exp(math.lgamma(k / 2) - math.lgamma((k + 1) / 2))
+            assert math.ldexp(m / m1, e - e1) == pytest.approx(exact, rel=1e-12)
 
 
 class TestClosedForm:
