@@ -19,8 +19,8 @@ Every public name is resolved on first access from the module that defines
 it, so `import magnitude` imports no submodule.  The closed forms (`spheres`,
 the measure arithmetic and Cantor sums of `line`, `errors`) need only the
 standard library; numpy is imported by `finite`, `quadrature` and
-`asymptotics` and by the functions of `line` that build arrays, and scipy
-only by the dense solve in `finite.weighting`.
+`asymptotics` and by the functions of `line` that build arrays, and
+scipy's LAPACK extension only by the dense solve in `finite.weighting`.
 """
 
 import importlib

@@ -99,7 +99,7 @@ def _quadrature(quotient, dim, R, tol):
 def _finite_file(t, dim, n, tol, loaded):
     from . import finite
 
-    w = finite.weighting(finite.scale(loaded, t), _solver_tol(tol))
+    w = finite.weighting(loaded, _solver_tol(tol), t)
     return float(w.w.sum()), w.residual_norm / w.rcond
 
 

@@ -9,6 +9,10 @@ because Z may be indefinite for an arbitrary finite metric.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import math
 import os
 from dataclasses import dataclass
 
@@ -23,6 +27,9 @@ _TRIANGLE_BLOCK = 64
 
 #: Rows of the similarity matrix per block of the weight-equation residual.
 _RESIDUAL_BLOCK = 64
+
+#: Rows per block of the point-cloud distances.
+_CLOUD_BLOCK = 64
 
 
 class FiniteMetricSpace:
@@ -98,7 +105,7 @@ def _check_triangle(d):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    # Imported here, as scipy is in weighting: only checked matrices need it.
+    # Imported here, as LAPACK is in weighting: only checked matrices need it.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(min(len(starts), cpus)) as pool:
@@ -162,31 +169,72 @@ def similarity_matrix(X: FiniteMetricSpace) -> np.ndarray:
     return np.exp(-X.d)
 
 
-def weighting(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Weighting:
-    """Solve the weight equation for X.
+def _flapack_path() -> str:
+    """Where scipy keeps its LAPACK extension, found without importing scipy."""
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    return os.path.join(root, "linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
 
-    Besides X.d the solve holds one n x n array: the similarity matrix,
-    built in place and then overwritten by its LU factors.  The residual is
-    formed from X.d in blocks of _RESIDUAL_BLOCK rows.
+
+@functools.cache
+def _lapack():
+    """scipy's double-precision dgetrf, dgecon and dgetrs.
+
+    These are the routines get_lapack_funcs picks for a float64 matrix.  The
+    extension that holds them needs only numpy's C API, so it is loaded by
+    itself.  Importing scipy.linalg would run scipy's __init__, whose
+    array-API layer copies numpy's namespace and so loads numpy.f2py,
+    numpy.testing, numpy.random and numpy.ma: that import costs more than
+    the LU of a 400-point matrix.  Without the file, scipy.linalg picks them.
+    """
+    path = _flapack_path()
+    if not os.path.isfile(path):
+        from scipy.linalg import get_lapack_funcs
+
+        return get_lapack_funcs(("getrf", "gecon", "getrs"), dtype=np.float64)
+    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dgetrf, flapack.dgecon, flapack.dgetrs
+
+
+def weighting(X: FiniteMetricSpace, tol: float = DEFAULT_TOL, t: float = 1.0) -> Weighting:
+    """Solve the weight equation for X scaled by t, that is for tX.
+
+    Z = exp(-t d) is formed as exp(d * (-t)), which for every t equals
+    exp(-d') with d' = scale(X, t).d, so the result is that of
+    weighting(scale(X, t)) without a scaled copy of X.d.  Besides X.d the
+    solve holds one n x n array: the similarity matrix, built in place and
+    then overwritten by its LU factors.  The residual is formed from X.d in
+    blocks of _RESIDUAL_BLOCK rows.
 
     Raises
     ------
+    NonpositiveScale
+        If t is not positive and finite.
+    ValueError
+        If t d has an entry that overflows, or a distance between distinct
+        points that underflows to 0: the error scale(X, t) raises.
     SingularSystem
         If the similarity matrix has a zero pivot, its reciprocal condition
         estimate falls below tol, or the residual cannot be brought below
         tol by one step of iterative refinement.
     """
-    # Imported here, not at module level: scipy.linalg is most of the import
-    # time of the package, and only dense solves need it.
-    from scipy.linalg import get_lapack_funcs
-
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
-    Z = np.negative(X.d)
+    t = _check_scale(t)
+    # An overflowing product is -inf, one that underflows -0.0.
+    with np.errstate(over="ignore"):
+        Z = np.multiply(X.d, -t)
+    # With the diagonal at -1, every entry is finite and negative exactly
+    # when scale(X, t) would pass the constructor's checks.
+    np.fill_diagonal(Z, -1.0)
+    if not (Z.min() > -math.inf and Z.max() < 0.0):
+        scale(X, t)  # raises, naming the first offending entry
+    np.fill_diagonal(Z, 0.0)
     np.exp(Z, out=Z)
     # The 1-norm is the largest column sum; Z > 0, so no abs is needed.
     anorm = float(Z.sum(axis=0).max())
-    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (Z,))
+    getrf, gecon, getrs = _lapack()
     # Z is exactly symmetric, so Z.T is Z in Fortran order, which getrf
     # factors in place without a copy.
     lu, piv, info = getrf(Z.T, overwrite_a=True)
@@ -202,12 +250,12 @@ def weighting(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Weighting:
         )
     ones = np.ones(X.n)
     w, info = getrs(lu, piv, ones)
-    residual = _residual(X.d, w)
+    residual = _residual(X.d, t, w)
     rnorm = float(np.abs(residual).max())
     if rnorm > tol:
         corr, info = getrs(lu, piv, residual)
         w = w - corr
-        rnorm = float(np.abs(_residual(X.d, w)).max())
+        rnorm = float(np.abs(_residual(X.d, t, w)).max())
         if rnorm > tol:
             raise SingularSystem(
                 f"weight-equation residual {rnorm:.3e} exceeds tol {tol:.3e}"
@@ -216,15 +264,15 @@ def weighting(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Weighting:
     return Weighting(w=w, residual_norm=rnorm, rcond=rcond)
 
 
-def _residual(d, w):
-    """Z w - 1 for Z = exp(-d), with Z built _RESIDUAL_BLOCK rows at a time."""
+def _residual(d, t, w):
+    """Z w - 1 for Z = exp(d * (-t)), with Z built _RESIDUAL_BLOCK rows at a time."""
     n = d.shape[0]
     out = np.empty(n)
     buffer = np.empty((min(n, _RESIDUAL_BLOCK), n))
     for i0 in range(0, n, _RESIDUAL_BLOCK):
         block = d[i0:i0 + _RESIDUAL_BLOCK]
         rows = buffer[:len(block)]
-        np.negative(block, out=rows)
+        np.multiply(block, -t, out=rows)
         np.exp(rows, out=rows)
         np.matmul(rows, w, out=out[i0:i0 + len(block)])
     out -= 1.0
@@ -236,13 +284,19 @@ def magnitude_finite(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> float:
     return float(weighting(X, tol).w.sum())
 
 
+def _check_scale(t) -> float:
+    """t as a float, or NonpositiveScale unless it is positive and finite."""
+    if not (t > 0.0) or not math.isfinite(t):
+        raise NonpositiveScale(f"scale factor must be positive and finite, got {t}")
+    return float(t)
+
+
 def scale(X: FiniteMetricSpace, t: float) -> FiniteMetricSpace:
     """Return X with all distances multiplied by t > 0."""
-    if not (t > 0.0) or not np.isfinite(t):
-        raise NonpositiveScale(f"scale factor must be positive and finite, got {t}")
+    t = _check_scale(t)
     # An overflowing product is reported by the constructor's finiteness check.
     with np.errstate(over="ignore"):
-        d = X.d * float(t)
+        d = X.d * t
     # Scaling preserves all metric axioms; skip the O(n^3) recheck.
     return FiniteMetricSpace(d, check_triangle=False)
 
@@ -392,10 +446,19 @@ def read_distance_matrix(path) -> FiniteMetricSpace:
 
 
 def read_point_cloud(path) -> FiniteMetricSpace:
-    """Load a Euclidean point cloud from CSV: one point per line."""
+    """Load a Euclidean point cloud from CSV: one point per line.
+
+    The distances sqrt(sum((a - b)^2)) are formed _CLOUD_BLOCK rows at a
+    time, so the work arrays hold _CLOUD_BLOCK x n x dim doubles.
+    """
     arr = _read_rows(path, square=False)
-    diff = arr[:, None, :] - arr[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=2))
+    n = arr.shape[0]
+    d = np.empty((n, n))
+    for i0 in range(0, n, _CLOUD_BLOCK):
+        diff = arr[i0:i0 + _CLOUD_BLOCK, None, :] - arr[None, :, :]
+        diff *= diff
+        diff.sum(axis=2, out=d[i0:i0 + _CLOUD_BLOCK])
+    np.sqrt(d, out=d)
     np.fill_diagonal(d, 0.0)
     # Euclidean distances satisfy the triangle inequality by construction, so
     # the O(n^3) check could only flag roundoff; the other checks still run.

@@ -562,11 +562,38 @@ class TestLazyLapack:
             print(codes, scipy_modules(), "concurrent.futures" in sys.modules)
             with contextlib.redirect_stdout(io.StringIO()):
                 code = run(["finite", "--matrix", "d.csv"])
-            print(code, "scipy.linalg" in sys.modules)
+            print(code, "scipy.linalg" in sys.modules, "numpy.f2py" in sys.modules)
         """)
         proc = run_python(["-c", code], tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0] [] False", "0 True"]
+        # The dense solve loads scipy's LAPACK extension alone, not the
+        # scipy.linalg package, whose import pulls in numpy.f2py.
+        assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0] [] False", "0 False False"]
+
+    def test_scipy_linalg_after_a_dense_solve(self, tmp_path):
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from magnitude import finite
+
+            points = np.random.default_rng(5).uniform(size=(40, 3))
+            d = np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=2))
+            X = finite.FiniteMetricSpace(d)
+            before = finite.weighting(X)
+            print("scipy.linalg" in sys.modules)
+            import scipy.linalg
+
+            finite._lapack.cache_clear()
+            after = finite.weighting(X)
+            picked = scipy.linalg.get_lapack_funcs(("getrf", "gecon", "getrs"), (d,))
+            direct = scipy.linalg.solve(np.exp(-d), np.ones(40))
+            print(list(picked) == list(finite._lapack()),
+                  before.w.tobytes() == after.w.tobytes(), before.rcond == after.rcond,
+                  np.allclose(direct, before.w, rtol=1e-9, atol=0))
+        """)
+        proc = run_python(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", "True True True True"]
 
 
 class TestClosedFormsWithoutNumpy:
@@ -790,3 +817,12 @@ class TestNoWarningLeaks:
                           tmp_path)
         assert proc.returncode == 2
         assert proc.stderr == "ValueError: non-finite distance at row 0, column 1\n"
+
+    def test_sweep_scale_that_underflows_the_distances(self, tmp_path):
+        (tmp_path / "m.csv").write_text("0,1e-5\n1e-5,0\n")
+        (tmp_path / "s.spec").write_text(
+            "space=finite-file\nmatrix=m.csv\nmethod=closed\nstart=1e-320\nstop=1\npoints=3\n")
+        proc = run_python(["-m", "magnitude", "sweep", "--spec", "s.spec", "--out", "o.csv"],
+                          tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == "ValueError: nonpositive distance between distinct points 0 and 1\n"

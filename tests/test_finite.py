@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magnitude import finite
+from magnitude._numeric import DEFAULT_TOL
 from magnitude import (
     FiniteMetricSpace,
     NonpositiveLength,
@@ -223,6 +224,99 @@ class TestWeighting:
             weighting(equilateral(3), tol=0.0)
 
 
+def reference_weighting(X, tol=DEFAULT_TOL):
+    """(w, rcond, residual_norm) of weighting(X), with LAPACK from scipy.linalg."""
+    from scipy.linalg import get_lapack_funcs
+
+    Z = np.exp(-X.d)
+    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (Z,))
+    lu, piv, _ = getrf(Z)
+    rcond, _ = gecon(lu, float(Z.sum(axis=0).max()), norm="1")
+    w, _ = getrs(lu, piv, np.ones(X.n))
+    residual = Z @ w - 1.0
+    if np.abs(residual).max() > tol:
+        w = w - getrs(lu, piv, residual)[0]
+        residual = Z @ w - 1.0
+    return w, float(rcond), float(np.abs(residual).max())
+
+
+@st.composite
+def well_conditioned(draw):
+    """Up to 8 points at distances in [2, 4]: metric, and exp(-d) strictly
+    diagonally dominant."""
+    n = draw(st.integers(1, 8))
+    d = np.zeros((n, n))
+    iu = np.triu_indices(n, 1)
+    d[iu] = draw(st.lists(st.floats(2.0, 4.0), min_size=len(iu[0]), max_size=len(iu[0])))
+    return FiniteMetricSpace(d + d.T)
+
+
+def solution_bits(w):
+    return w.w.tobytes(), w.rcond, w.residual_norm
+
+
+class TestLapack:
+    @settings(max_examples=200, deadline=None)
+    @given(X=well_conditioned())
+    def test_agrees_with_scipy_linalg(self, X):
+        w, rcond, rnorm = reference_weighting(X)
+        assert solution_bits(weighting(X)) == (w.tobytes(), rcond, rnorm)
+
+    def test_fallback_without_the_extension_file(self, monkeypatch, tmp_path):
+        import scipy.linalg
+
+        X = random_euclidean(30, seed=3)
+        expected = weighting(X)
+        picked = []
+
+        def get_lapack_funcs(*args, **kwargs):
+            picked.append(args[0])
+            return original(*args, **kwargs)
+
+        original = scipy.linalg.get_lapack_funcs
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+        monkeypatch.setattr(finite, "_flapack_path", lambda: str(tmp_path / "missing.so"))
+        finite._lapack.cache_clear()
+        try:
+            got = weighting(X)
+        finally:
+            finite._lapack.cache_clear()
+        assert picked == [("getrf", "gecon", "getrs")]
+        assert solution_bits(got) == solution_bits(expected)
+
+
+class TestScaledWeighting:
+    """weighting(X, tol, t) solves for tX without building it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=st.floats(1e-3, 1e3), seed=st.integers(0, 3))
+    def test_agrees_with_the_scaled_space(self, t, seed):
+        X = random_euclidean(12, seed=seed)
+        try:
+            expected = solution_bits(weighting(scale(X, t)))
+        except SingularSystem as exc:
+            with pytest.raises(SingularSystem, match=re.escape(str(exc))):
+                weighting(X, DEFAULT_TOL, t)
+            return
+        assert solution_bits(weighting(X, DEFAULT_TOL, t)) == expected
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    def test_nonpositive_scale_rejected(self, t):
+        with pytest.raises(NonpositiveScale):
+            weighting(equilateral(2), DEFAULT_TOL, t)
+
+    @pytest.mark.parametrize("far, t, message", [
+        (1e10, 1e300, "non-finite distance at row 1, column 2"),
+        (1e-300, 1e-30, "nonpositive distance between distinct points 1 and 2"),
+    ], ids=["overflow", "underflow"])
+    def test_out_of_range_distances_named_as_scale_names_them(self, far, t, message):
+        X = FiniteMetricSpace([[0.0, 1.0, 1.0], [1.0, 0.0, far], [1.0, far, 0.0]],
+                              check_triangle=False)
+        for call in (lambda: scale(X, t), lambda: weighting(X, DEFAULT_TOL, t)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
+
+
 class TestMagnitude:
     def test_one_point(self):
         assert magnitude_finite(FiniteMetricSpace([[0.0]])) == 1.0
@@ -408,6 +502,22 @@ class TestWorkingSet:
         assert w.w.tobytes() == expected.w.tobytes()
         assert peak < 1.5 * 8 * self.n**2
 
+    def test_reading_a_point_cloud(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        points = np.random.default_rng(7).uniform(-1.0, 1.0, size=(self.n, 3))
+        np.savetxt(path, points, fmt="%.17g", delimiter=",")
+        read_point_cloud(path)  # first-call imports
+        tracemalloc.start()
+        try:
+            X = read_point_cloud(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert X.n == self.n
+        # The distances and the constructor's copy; an n x n x dim
+        # difference array would add 6 more.
+        assert peak < 3 * 8 * self.n**2
+
 
 class TestIO:
     def test_distance_matrix_roundtrip(self, tmp_path):
@@ -442,6 +552,18 @@ class TestIO:
         assert X.d[0, 1] == 3.0
         assert X.d[1, 2] == 4.0
         assert X.d[0, 2] == 5.0
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 65, 129, 150])
+    @pytest.mark.parametrize("dim", [1, 3, 9])
+    def test_point_cloud_blocks_match_one_difference_array(self, tmp_path, n, dim):
+        path = tmp_path / "pts.csv"
+        points = np.random.default_rng(n * dim).normal(size=(n, dim)) * 10.0 ** (n % 7 - 3)
+        np.savetxt(path, points, fmt="%.17g", delimiter=",")
+        arr = np.loadtxt(path, delimiter=",", ndmin=2)
+        diff = arr[:, None, :] - arr[None, :, :]
+        expected = np.sqrt((diff * diff).sum(axis=2))
+        np.fill_diagonal(expected, 0.0)
+        assert read_point_cloud(path).d.tobytes() == expected.tobytes()
 
     def test_point_cloud_skips_triangle_check(self, tmp_path, monkeypatch):
         # Euclidean distances are metric by construction.
