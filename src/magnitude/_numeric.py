@@ -1,9 +1,13 @@
-"""Numerically careful scalar helpers and the default tolerance, shared across modules.
+"""Numerically careful scalar helpers, the scalar input checks and the default
+tolerance, shared across modules.
 
-All of the helpers guard against catastrophic cancellation near zero by
+The numerical helpers guard against catastrophic cancellation near zero by
 switching to a short series branch; the crossover thresholds are chosen so
 that the truncation error of the series sits far below double-precision
-roundoff.  The module needs only the standard library.
+roundoff.  The two checks state the domain rules of the package once: an
+integer dimension or depth at least some least value, and a positive finite
+length, radius, scale or tolerance.  The module needs only the standard
+library.
 """
 
 import math
@@ -15,6 +19,22 @@ DEFAULT_TOL = 1e-10
 # Below this the series branches are used for expressions of the form
 # x / (1 - e^{-x}) and (x^2 / 2) / (1 - (1+x) e^{-x}).
 SERIES_CUTOFF = 1e-4
+
+
+def at_least(value, least: int, name: str) -> int:
+    """value as an int; ValueError("need <name> >= <least>, got <value>") below least."""
+    value = int(value)
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
+    return value
+
+
+def positive_finite(value, name: str, error: type[Exception] = ValueError):
+    """value itself; error("<name> must be positive and finite, got <value>")
+    unless it is positive and finite (nan is neither)."""
+    if not value > 0.0 or not math.isfinite(value):
+        raise error(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 def x_over_one_minus_exp_neg(x: float) -> float:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numeric import at_least
 from .errors import IllConditionedFit, NonFiniteResult
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, subspace_sphere_magnitude_quadrature
 from .spheres import curvature_coefficient, sphere_magnitude_closed, volume_coefficient
@@ -97,9 +98,7 @@ def predicted_expansion_intrinsic_sphere(n: int) -> AsymptoticExpansion:
     (n+1) mu_{n-2}(S^n_1) / (3 (n-1)! omega_{n-2}) (total-scalar-curvature
     term).
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = at_least(n, 2, "n")
     return AsymptoticExpansion(
         terms=((n, volume_coefficient(n)), (n - 1, 0.0), (n - 2, curvature_coefficient(n))),
         error_order=n - 4,
@@ -108,17 +107,13 @@ def predicted_expansion_intrinsic_sphere(n: int) -> AsymptoticExpansion:
 
 def predicted_relative_correction_subspace(n: int) -> float:
     """R^{-2} coefficient of |chord-metric sphere| / (leading term): (n+1) n (n-2) / 8."""
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = at_least(n, 2, "n")
     return (n + 1) * n * (n - 2) / 8.0
 
 
 def predicted_relative_correction_intrinsic(n: int) -> float:
     """R^{-2} coefficient of |geodesic-metric sphere| / (leading term): (n+1) n (n-1) / 6."""
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = at_least(n, 2, "n")
     return (n + 1) * n * (n - 1) / 6.0
 
 
@@ -285,9 +280,7 @@ def extract_subspace_relative_correction(
     leading term sigma_n R^n / (n! omega_n), and extrapolates
     (ratio - 1) R^2 to R = infinity.  Returns (coefficient, spread).
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = at_least(n, 2, "n")
     result = extract_subspace_expansion(lambda R: subspace_ratio(n, R, cfg), R_grid)
     return result.coefficient(-2), result.spreads[1]
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import line, spheres
-from ._numeric import DEFAULT_TOL
+from ._numeric import DEFAULT_TOL, positive_finite
 from .errors import MagnitudeError, NonFiniteResult
 
 if TYPE_CHECKING:
@@ -66,9 +66,7 @@ def _tolerance(tol: float | None, fallback: float) -> float:
         except ValueError:
             raise ValueError(f"{TOL_ENV_VAR}={raw!r} is not a number") from None
         name = TOL_ENV_VAR
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {tol}")
-    return tol
+    return positive_finite(tol, name)
 
 
 def _quad_config(tol: float | None) -> quadrature.QuadratureConfig:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import DEFAULT_TOL
+from ._numeric import DEFAULT_TOL, positive_finite
 from .errors import NonpositiveLength, NonpositiveScale, NotHomogeneous, SingularSystem
 
 #: Rows per block of the triangle check; a block works in arrays of
@@ -221,7 +221,7 @@ def weighting(X: FiniteMetricSpace, tol: float = DEFAULT_TOL, t: float = 1.0) ->
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
-    t = _check_scale(t)
+    t = float(positive_finite(t, "scale factor", NonpositiveScale))
     # An overflowing product is -inf, one that underflows -0.0.
     with np.errstate(over="ignore"):
         Z = np.multiply(X.d, -t)
@@ -284,16 +284,9 @@ def magnitude_finite(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> float:
     return float(weighting(X, tol).w.sum())
 
 
-def _check_scale(t) -> float:
-    """t as a float, or NonpositiveScale unless it is positive and finite."""
-    if not (t > 0.0) or not math.isfinite(t):
-        raise NonpositiveScale(f"scale factor must be positive and finite, got {t}")
-    return float(t)
-
-
 def scale(X: FiniteMetricSpace, t: float) -> FiniteMetricSpace:
     """Return X with all distances multiplied by t > 0."""
-    t = _check_scale(t)
+    t = float(positive_finite(t, "scale factor", NonpositiveScale))
     # An overflowing product is reported by the constructor's finiteness check.
     with np.errstate(over="ignore"):
         d = X.d * t
@@ -317,10 +310,7 @@ def magnitude_homogeneous_finite(X: FiniteMetricSpace, tol: float = DEFAULT_TOL)
 
 def _circle_distance_row(circumference: float, n: int) -> np.ndarray:
     """Arc-length distances from point 0 to points 0..n-1 of an n-point circle grid."""
-    if not circumference > 0.0 or not np.isfinite(circumference):
-        raise NonpositiveLength(
-            f"circumference must be positive and finite, got {circumference}"
-        )
+    positive_finite(circumference, "circumference", NonpositiveLength)
     if n < 1:
         raise ValueError(f"need at least one point, got {n}")
     step = circumference / n

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ._numeric import tanh_minus_x, tanh_over_x
+from ._numeric import at_least, positive_finite, tanh_minus_x, tanh_over_x
 from .errors import (
     HypothesisViolated,
     NonpositiveLength,
@@ -113,8 +113,7 @@ def interval_weight_measure(length: float) -> tuple[LineSubset, LineWeightMeasur
     Atoms of mass 1/2 at both ends plus density 1/2 across, giving total
     mass 1 + length/2.
     """
-    if not length > 0.0 or not math.isfinite(length):
-        raise NonpositiveLength(f"interval length must be positive and finite, got {length}")
+    positive_finite(length, "interval length", NonpositiveLength)
     space = LineSubset(((0.0, length),))
     measure = LineWeightMeasure(
         atoms=((0.0, 0.5), (length, 0.5)),
@@ -235,8 +234,7 @@ def cantor_magnitude_series(length: float, tol: float) -> float:
     geometric tail bound drops below tol, so the result is within tol of the
     full series.
     """
-    if not length > 0.0 or not math.isfinite(length):
-        raise NonpositiveLength(f"length must be positive and finite, got {length}")
+    positive_finite(length, "length", NonpositiveLength)
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     total = 1.0
@@ -263,11 +261,8 @@ def cantor_magnitude_iterative(length: float, depth: int) -> float:
     Each round i removes 2^{i-1} open intervals of length length/3^i, and
     each removal changes the mass by -len/2 + tanh(len/2).
     """
-    if not length > 0.0 or not math.isfinite(length):
-        raise NonpositiveLength(f"length must be positive and finite, got {length}")
-    depth = int(depth)
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    positive_finite(length, "length", NonpositiveLength)
+    depth = at_least(depth, 0, "depth")
     total = 1.0 + length / 2.0
     for i in range(1, depth + 1):
         x = length / (2.0 * 3.0**i)
@@ -279,11 +274,8 @@ def cantor_magnitude_iterative(length: float, depth: int) -> float:
 
 def cantor_level_set(length: float, depth: int) -> LineSubset:
     """Carrier after `depth` rounds of middle-third removal: 2^depth intervals."""
-    if not length > 0.0 or not math.isfinite(length):
-        raise NonpositiveLength(f"length must be positive and finite, got {length}")
-    depth = int(depth)
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    positive_finite(length, "length", NonpositiveLength)
+    depth = at_least(depth, 0, "depth")
     intervals = [(0.0, float(length))]
     for _ in range(depth):
         nxt = []

@@ -23,10 +23,11 @@ from typing import ClassVar
 
 import numpy as np
 
+from ._numeric import at_least, positive_finite
 from .errors import NoConvergence
 # The chord-metric closed form lives in the numpy-free spheres module; it is
 # re-exported here, as the same object, beside the quadrature it checks.
-from .spheres import _check_radius, _scaled_sigma, subspace_sphere2_closed
+from .spheres import _scaled_sigma, subspace_sphere2_closed
 
 #: Decay rate at which the integration domain is pre-split near zero.
 _SPLIT_RATE = 50.0
@@ -139,18 +140,14 @@ def _integrate_decaying(f, b: float, rate: float, cfg: QuadratureConfig) -> Inte
 
 def K_integral(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Numerator integral int_0^pi sin^{n-1}(r) dr, n >= 1."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = at_least(n, 1, "n")
     return integrate_adaptive(lambda r: np.sin(r) ** (n - 1), 0.0, math.pi, cfg).value
 
 
 def I_integral(n: int, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Denominator integral int_0^pi exp(-r R) sin^{n-1}(r) dr, n >= 1, R > 0."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    _check_radius(R)
+    n = at_least(n, 1, "n")
+    positive_finite(R, "radius")
     f = lambda r: np.exp(-r * R) * np.sin(r) ** (n - 1)
     # At R near the double limit r * R overflows to inf, and exp(-inf) = 0 is
     # the right factor.
@@ -191,10 +188,8 @@ def subspace_sphere_magnitude_quadrature(
     J = int_0^pi exp(-2 R sin(theta/2)) sin^{n-1}(theta) dtheta,
     which simplifies to sigma_n / (sigma_{n-1} J).
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    _check_radius(R)
+    n = at_least(n, 1, "n")
+    positive_finite(R, "radius")
     f = lambda t: np.exp(-2.0 * R * np.sin(0.5 * t)) * np.sin(t) ** (n - 1)
     j = float(_integrate_decaying(f, math.pi, R, cfg).value)
     # sigma_n / (sigma_{n-1} J) on the mantissas, then the power of two: the

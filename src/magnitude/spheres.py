@@ -16,7 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._numeric import half_x2_over_one_minus_one_plus_x_exp_neg, x_over_one_minus_exp_neg
+from ._numeric import (
+    at_least,
+    half_x2_over_one_minus_one_plus_x_exp_neg,
+    positive_finite,
+    x_over_one_minus_exp_neg,
+)
 from .errors import EpsilonTooLarge, IndexOutOfRange, NonpositiveLength
 
 
@@ -56,9 +61,7 @@ def _unit_volume(
     recursive definition.  Unless whole is set, the loop stops once m 2^e
     rounds to 0 as a double: the volumes only shrink from there on.
     """
-    k = int(k)
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
+    k = at_least(k, 0, "k")
     m, e = math.frexp(bases[k % 2])
     for j in range(k % 2 + 2, k + 1, 2):
         if e < _ZERO_EXPONENT and not whole:
@@ -68,11 +71,6 @@ def _unit_volume(
     return m, e
 
 
-def _check_radius(R: float):
-    if not R > 0.0 or not math.isfinite(R):
-        raise ValueError(f"radius must be positive and finite, got {R}")
-
-
 def sphere_magnitude_closed(n: int, R: float) -> float:
     """Magnitude of the n-sphere of radius R with the geodesic metric.
 
@@ -80,10 +78,8 @@ def sphere_magnitude_closed(n: int, R: float) -> float:
     n odd:   pi R * prod_{even j < n} ((R/j)^2 + 1) / (1 - e^{-pi R})
     n = 0:   two points at distance pi R, 2 / (1 + e^{-pi R}).
     """
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    _check_radius(R)
+    n = at_least(n, 0, "n")
+    positive_finite(R, "radius")
     # A Python float raises OverflowError past the double range, where a
     # numpy scalar would warn and return inf.
     R = float(R)
@@ -104,10 +100,7 @@ def circle_magnitude_closed(circumference: float) -> float:
     The invariant-measure quotient evaluates to l / (2 (1 - e^{-l/2})); the
     small-l regime goes through a series branch to avoid cancellation.
     """
-    if not circumference > 0.0 or not math.isfinite(circumference):
-        raise NonpositiveLength(
-            f"circumference must be positive and finite, got {circumference}"
-        )
+    positive_finite(circumference, "circumference", NonpositiveLength)
     return x_over_one_minus_exp_neg(0.5 * circumference)
 
 
@@ -117,16 +110,14 @@ def subspace_sphere2_closed(R: float) -> float:
     Closed form 2 R^2 / (1 - e^{-2R} (1 + 2R)), with a series branch for
     the whole ratio at small R.
     """
-    _check_radius(R)
+    positive_finite(R, "radius")
     return half_x2_over_one_minus_one_plus_x_exp_neg(2.0 * R)
 
 
 def recurrence_step_check(n: int, R: float) -> float:
     """Residual of |S^{n+2}_R| = ((R/(n+1))^2 + 1) |S^n_R| between closed forms."""
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    _check_radius(R)
+    n = at_least(n, 0, "n")
+    positive_finite(R, "radius")
     return sphere_magnitude_closed(n + 2, R) - ((R / (n + 1)) ** 2 + 1.0) * sphere_magnitude_closed(n, R)
 
 
@@ -175,9 +166,7 @@ def P_polynomial(n: int) -> SpherePolynomial:
     arithmetic, then scaled by 2 (n even) or pi (odd, with one extra power
     of R), so each coefficient carries a single rounding.
     """
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    n = at_least(n, 0, "n")
     start = 1 if n % 2 == 0 else 2
     # Polynomial in R^2 with rational coefficients, ascending.
     poly = [Fraction(1)]
@@ -203,12 +192,10 @@ def intrinsic_volume_sphere(i: int, n: int, R: float) -> float:
     mu_n is the volume sigma_n R^n and mu_0 the Euler characteristic.
     """
     i = int(i)
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    n = at_least(n, 0, "n")
     if not 0 <= i <= n:
         raise IndexOutOfRange(f"need 0 <= i <= n, got i={i}, n={n}")
-    _check_radius(R)
+    positive_finite(R, "radius")
     if (n - i) % 2 != 0:
         return 0.0
     return 2.0 * sigma(n) / sigma(n - i) * math.comb(n, i) * R**i
@@ -216,10 +203,8 @@ def intrinsic_volume_sphere(i: int, n: int, R: float) -> float:
 
 def scalar_curvature_sphere(n: int, R: float) -> float:
     """Scalar curvature of the n-sphere of radius R: n (n-1) / R^2."""
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    _check_radius(R)
+    n = at_least(n, 2, "n")
+    positive_finite(R, "radius")
     return n * (n - 1) / (R * R)
 
 
@@ -237,10 +222,8 @@ def penguin_valuation_sphere(n: int, R: float) -> float:
     Matches the leading and constant coefficients of the magnitude
     numerator polynomial, but not the subdominant one.
     """
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    _check_radius(R)
+    n = at_least(n, 0, "n")
+    positive_finite(R, "radius")
     return sum(
         intrinsic_volume_sphere(i, n, R) / (math.factorial(i) * omega(i))
         for i in range(n + 1)
@@ -267,9 +250,7 @@ def leading_and_subleading_check(n: int) -> tuple[float, float]:
     Returns (leading coefficient - volume_coefficient(n),
              R^{n-2} coefficient - curvature_coefficient(n)).
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = at_least(n, 2, "n")
     poly = P_polynomial(n)
     return (
         poly.leading_coefficient - volume_coefficient(n),
@@ -284,10 +265,8 @@ def tube_volume_check(n: int, R: float, eps: float) -> tuple[float, float]:
     formula: sum_i mu_{n+1-i}(S^n_R) omega_i eps^i, with mu_{n+1} taken as 0
              since an n-manifold has no (n+1)-volume.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    _check_radius(R)
+    n = at_least(n, 1, "n")
+    positive_finite(R, "radius")
     if not 0.0 < eps < R:
         raise EpsilonTooLarge(f"need 0 < eps < R, got eps={eps}, R={R}")
     direct = omega(n + 1) * ((R + eps) ** (n + 1) - (R - eps) ** (n + 1))
@@ -305,10 +284,8 @@ def geodesic_sphere_expansion_check(n: int, R: float, r: float) -> float:
     sigma_{n-1} r^{n-1} (1 - tau r^2 / (6n)) with tau = n(n-1)/R^2 leaves
     a residual of order r^{n+3}.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    _check_radius(R)
+    n = at_least(n, 2, "n")
+    positive_finite(R, "radius")
     if not 0.0 < r < math.pi * R:
         raise ValueError(f"need 0 < r < pi R, got r={r}")
     tau = scalar_curvature_sphere(n, R)
