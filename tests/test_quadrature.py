@@ -271,3 +271,35 @@ class TestSubspaceQuotientAtLargeDims:
             exact = ratio / j
             value = subspace_sphere_magnitude_quadrature(n, R)
             assert abs(value - exact) <= 1e-9 * exact
+
+
+class TestLargeRadiusTail:
+    """Past R of about 5e4 the coarse levels of the tail [30/R, pi] see only
+    underflowed nodes; the tail's mass must still be integrated."""
+
+    RADII = [1e5, 1e6, 1e9]
+    DIMS = [2, 3, 10, 30]
+
+    @pytest.mark.parametrize("R", RADII)
+    @pytest.mark.parametrize("n", DIMS)
+    def test_intrinsic_matches_the_closed_form(self, n, R):
+        exact = sphere_magnitude_closed(n, R)
+        assert abs(sphere_magnitude_quadrature(n, R) - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("R", RADII)
+    @pytest.mark.parametrize("n", DIMS)
+    def test_chord_matches_mpmath(self, n, R):
+        with mpmath.workdps(40):
+            m, r = mpmath.mpf(n), mpmath.mpf(R)
+            ratio = mpmath.sqrt(mpmath.pi) * mpmath.exp(
+                mpmath.loggamma(m / 2) - mpmath.loggamma((m + 1) / 2))
+            # J in u = R t, scaled to an integral near 1: mpmath's tolerance is
+            # absolute.  The mass sits below u of a few times n, and past
+            # u = 400 the integrand is below e^-290 of its peak.
+            gamma = mpmath.factorial(n - 1)
+            f = lambda u: (mpmath.exp(-2 * r * mpmath.sin(u / (2 * r)))
+                           * (r * mpmath.sin(u / r)) ** (m - 1) / gamma)
+            j = mpmath.quad(f, [0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 400]) * gamma / r**n
+            exact = ratio / j
+        value = subspace_sphere_magnitude_quadrature(n, R)
+        assert abs(value - exact) <= 1e-12 * exact
