@@ -27,12 +27,17 @@ class AsymptoticExpansion:
 
     terms are (power, coefficient) pairs with strictly decreasing powers;
     error_order sits below the smallest listed power.  spreads, when
-    present, are per-term extrapolation error estimates.
+    present, are per-term extrapolation error estimates.  gradients, when
+    present, hold per term the partial derivatives of the coefficient with
+    respect to the samples it was extracted from, in grid order: the
+    extraction is linear in the samples, so sum_i |gradient_i| e_i bounds
+    what errors e_i in the samples move the coefficient.
     """
 
     terms: tuple[tuple[int, float], ...]
     error_order: int
     spreads: tuple[float, ...] | None = None
+    gradients: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
         powers = [p for p, _ in self.terms]
@@ -44,6 +49,8 @@ class AsymptoticExpansion:
             raise ValueError("error_order must lie below the smallest power")
         if self.spreads is not None and len(self.spreads) != len(self.terms):
             raise ValueError("need one spread per term")
+        if self.gradients is not None and len(self.gradients) != len(self.terms):
+            raise ValueError("need one gradient per term")
 
     def coefficient(self, power: int) -> float:
         for p, c in self.terms:
@@ -125,23 +132,19 @@ def predicted_expansion_subspace_ratio(n: int) -> AsymptoticExpansion:
     return AsymptoticExpansion(((0, 1.0), (-2, predicted_relative_correction_subspace(n))), -4)
 
 
-def _neville_limit(u: np.ndarray, g: np.ndarray) -> tuple[float, float]:
-    """Polynomial extrapolation of (u_j, g_j) to u = 0.
+def _neville_limit(u: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Polynomial extrapolation of (u_j, g_j) to u = 0, column by column of g.
 
-    Returns the corner value and the spread between the two highest-order
-    extrapolants.
+    g has one row per u_j.  Returns, per column, the corner value and the
+    spread between the two highest-order extrapolants.  Only the last two
+    levels of the tableau are held.
     """
-    levels = [list(map(float, g))]
-    while len(levels[-1]) > 1:
-        cur = levels[-1]
-        m = len(levels)  # current interpolation depth
-        nxt = []
-        for j in range(len(cur) - 1):
-            uj, um = u[j], u[j + m]
-            nxt.append((um * cur[j] - uj * cur[j + 1]) / (um - uj))
-        levels.append(nxt)
-    final = levels[-1][0]
-    spread = abs(final - levels[-2][1]) if len(levels) >= 2 else 0.0
+    prev, cur = None, g
+    for m in range(1, len(u)):  # m is the interpolation depth of the next level
+        um, uj = u[m:, None], u[:-m, None]
+        prev, cur = cur, (um * cur[:-1] - uj * cur[1:]) / (um - uj)
+    final = cur[0]
+    spread = np.abs(final - prev[1]) if prev is not None else np.zeros_like(final)
     return final, spread
 
 
@@ -201,28 +204,35 @@ def extract_coefficients(
     with np.errstate(all="ignore"):
         u = t ** (-parity_step)
         tpow = {k: t ** float(k) for k in powers}
-        coeffs = {k: 0.0 for k in powers}
+    if not all(np.all(np.isfinite(p) & (p > 0.0)) for p in (u, *tpow.values())):
+        raise ValueError("t_grid is too close to 0 or to the double limit for this model")
+    # The fit is linear in the samples.  Column 0 holds them and column 1 + i
+    # the unit sample e_i, whose coefficients are the derivatives d c_k / d f_i;
+    # column 0 sees the same floating-point operations as a fit of it alone.
+    columns = np.column_stack((fvals, np.eye(t.size)))
+    with np.errstate(all="ignore"):
+        coeffs = {k: np.zeros(columns.shape[1]) for k in powers}
         spreads = {k: 0.0 for k in powers}
         for _ in range(1 if count == 1 else 2):
             for k in powers:
-                residual = fvals.copy()
+                residual = columns.copy()
                 for m in powers:
                     if m != k:
-                        residual -= coeffs[m] * tpow[m]
-                coeffs[k], spreads[k] = _neville_limit(u, residual / tpow[k])
-    if not all(np.all(np.isfinite(p) & (p > 0.0)) for p in (u, *tpow.values())):
-        raise ValueError("t_grid is too close to 0 or to the double limit for this model")
+                        residual -= np.outer(tpow[m], coeffs[m])
+                coeffs[k], spread = _neville_limit(u, residual / tpow[k][:, None])
+                spreads[k] = float(spread[0])
     for k in powers:
-        if not (math.isfinite(coeffs[k]) and math.isfinite(spreads[k])):
+        if not (math.isfinite(coeffs[k][0]) and math.isfinite(spreads[k])):
             raise NonFiniteResult(f"the t^{k} coefficient or its spread is not finite on this grid")
         if coeff_tol is not None and not spreads[k] <= coeff_tol:
             raise IllConditionedFit(
                 f"spread {spreads[k]:.3e} for the t^{k} coefficient exceeds {coeff_tol:.3e}"
             )
     return AsymptoticExpansion(
-        terms=tuple((k, coeffs[k]) for k in powers),
+        terms=tuple((k, float(coeffs[k][0])) for k in powers),
         error_order=powers[-1] - parity_step,
         spreads=tuple(spreads[k] for k in powers),
+        gradients=tuple(tuple(coeffs[k][1:].tolist()) for k in powers),
     )
 
 
@@ -245,10 +255,18 @@ def extract_parity_expansion(f, leading_power: int, t_grid) -> AsymptoticExpansi
         return table[t] - c_top * t**k - c_sub * t ** (k - 2)
 
     odd = extract_coefficients(deflated, k - 1, 1, 1, t_grid)
+    # deflated(t_i) = f_i - c_top t_i^k - c_sub t_i^(k-2), so the chain rule
+    # carries the odd coefficient's gradient over to the samples f.
+    t = np.array(list(table))
+    top, sub = (np.array(g) for g in even.gradients)
+    with np.errstate(all="ignore"):
+        chain = np.eye(t.size) - np.outer(t**k, top) - np.outer(t ** (k - 2), sub)
+        odd_gradient = np.array(odd.gradients[0]) @ chain
     return AsymptoticExpansion(
         terms=((k, c_top), (k - 1, odd.coefficient(k - 1)), (k - 2, c_sub)),
         error_order=k - 3,
         spreads=(even.spreads[0], odd.spreads[0], even.spreads[1]),
+        gradients=(even.gradients[0], tuple(odd_gradient.tolist()), even.gradients[1]),
     )
 
 
@@ -261,14 +279,62 @@ def subspace_ratio(n: int, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> 
     return magnitude / lead
 
 
+#: Unit roundoff of a double.
+_U = 2.0**-53
+
+#: Relative error, per sample, that stands for the rounding of the fit itself.
+#: The fit strips each sample of at most two terms c_m t^m (those of
+#: extract_parity_expansion's deflation): t^m within one ulp, the product and
+#: the difference round within about 4u (|f_i| + |c_m t^m|) each, and the
+#: terms of the sphere magnitudes are positive and below |f_i|.  The Neville
+#: steps round values of the coefficient's own size, far below.
+FIT_ROUNDING = 16 * _U
+
+
+def closed_form_rounding(n: int) -> float:
+    """Bound on the relative rounding error of sphere_magnitude_closed(n, R), any R.
+
+    With u = 2^-53: the first factor, 2 / (1 + e^{-pi R}) for even n or
+    pi R / (1 - e^{-pi R}) for odd n, carries the roundings of pi and of
+    pi R (2u; the logarithmic derivative of either factor in pi R is at
+    most 1 in size), of exp or expm1 (2u, one ulp), and of the sum or
+    division (u): 5u.  Each of the n // 2 factors (R/j)^2 + 1 carries the
+    rounding of R/j twice through the square (2u), then the square (u), the
+    sum (u, relative to a sum of positive terms) and the product (u): 5u.
+    To first order the value is within 5 (n // 2 + 1) u; (5 (n // 2) + 6) u
+    also covers the second-order terms.
+    """
+    return (5 * (int(n) // 2) + 6) * _U
+
+
+def subspace_ratio_rounding(n: int) -> float:
+    """Bound on the relative rounding error of subspace_ratio(n, R) beyond the
+    error of its quadrature J, which the quadrature estimates as at most
+    rel_tol relative.
+
+    With u = 2^-53: sigma_n / sigma_{n-1} is a quotient of two products of
+    about n / 2 factors 2 pi / j, 3u each (pi, the division, the product),
+    so about (3n + 1) u with the quotient and the division by J.  The
+    leading term sigma_n / (n! omega_n) R^n takes about 3n/2 u from each
+    volume, u from n!, one ulp (2u) from R^n and 3u from its products and
+    divisions; the ratio takes u more.  In all at most about (6n + 7) u, to
+    first order; (6n + 12) u is returned.
+    """
+    return (6 * int(n) + 12) * _U
+
+
 def extract_subspace_expansion(ratio, R_grid) -> AsymptoticExpansion:
     """R^0 and R^{-2} coefficients of ratio (subspace_ratio at a fixed n), called
     once per grid point: the limits of ratio and of (ratio - 1) R^2 at R = infinity."""
     table = {float(R): ratio(float(R)) for R in R_grid}
     lead = extract_coefficients(table.__getitem__, 0, 2, 1, R_grid)
     correction = extract_coefficients(lambda R: (table[R] - 1.0) * R * R, 0, 2, 1, R_grid)
+    R = np.array(list(table))
+    with np.errstate(over="ignore"):
+        correction_gradient = np.array(correction.gradients[0]) * R * R
     return AsymptoticExpansion(((0, lead.coefficient(0)), (-2, correction.coefficient(0))), -4,
-                               (lead.spreads[0], correction.spreads[0]))
+                               (lead.spreads[0], correction.spreads[0]),
+                               (lead.gradients[0], tuple(correction_gradient.tolist())))
 
 
 def extract_subspace_relative_correction(

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from . import line, spheres
 from ._numeric import DEFAULT_TOL, positive_finite
-from .errors import MagnitudeError, NonFiniteResult
+from .errors import IllConditionedFit, MagnitudeError, NonFiniteResult
 
 if TYPE_CHECKING:
     import numpy as np
@@ -231,9 +231,14 @@ def _geometric_grid(tmin: float, tmax: float) -> list[float]:
     return grid
 
 
-def _sampler(f):
-    """f behind the guard."""
-    return lambda t: _guarded(t, lambda: (f(t),))[0]
+def _sampler(f, samples: dict):
+    """f behind the guard, each value also kept in samples under its argument."""
+
+    def sample(t):
+        samples[t] = value = _guarded(t, lambda: (f(t),))[0]
+        return value
+
+    return sample
 
 
 def _cmd_asymptotics(args) -> int:
@@ -259,19 +264,35 @@ def _cmd_asymptotics(args) -> int:
         # numerical failure leaves stdout empty.
         csv.writer(sys.stdout).writerow(header)
         raise ValueError(problem)
+    samples = {}
     if args.metric == "intrinsic":
+        relative_error = asymptotics.closed_form_rounding(n)
         extracted = asymptotics.extract_parity_expansion(
-            _sampler(lambda t: spheres.sphere_magnitude_closed(n, t)), n, grid
+            _sampler(lambda t: spheres.sphere_magnitude_closed(n, t), samples), n, grid
         )
     else:
         cfg = _quad_config(args.tol)
+        relative_error = cfg.rel_tol + asymptotics.subspace_ratio_rounding(n)
         extracted = asymptotics.extract_subspace_expansion(
-            _sampler(lambda R: asymptotics.subspace_ratio(n, R, cfg)), grid
+            _sampler(lambda R: asymptotics.subspace_ratio(n, R, cfg), samples), grid
         )
-    # Every row is computed before the first is written.
+    # The extraction is linear in the samples, so their errors e_i move the
+    # t^k coefficient by at most sum_i |d c_k / d f_i| e_i: the spread printed
+    # is the larger of that and the extrapolation spread.  Every row is
+    # computed before the first is written.
+    errors = [(relative_error + asymptotics.FIT_ROUNDING) * abs(samples[t]) for t in grid]
+    lead = abs(extracted.terms[0][1])
     rows = [header]
-    for (power, coeff), spread, expected in zip(extracted.terms, extracted.spreads, predicted[: args.orders]):
-        rows.append((power, _fmt(coeff), _fmt(expected), _fmt(spread)))
+    for (power, coeff), spread, gradient, expected in zip(
+        extracted.terms, extracted.spreads, extracted.gradients, predicted[: args.orders]
+    ):
+        noise = sum(abs(g) * e for g, e in zip(gradient, errors))
+        if not noise <= lead:
+            raise IllConditionedFit(
+                f"the samples' rounding and quadrature errors may move the t^{power} coefficient "
+                f"by {noise:.3e}, more than the leading coefficient's size {lead:.3e}"
+            )
+        rows.append((power, _fmt(coeff), _fmt(expected), _fmt(max(spread, noise))))
     csv.writer(sys.stdout).writerows(rows)
     return 0
 

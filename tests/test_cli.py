@@ -236,6 +236,45 @@ class TestAsymptoticsCommand:
         assert proc.stdout == ""
         assert proc.stderr.startswith("ValueError: ")
 
+    @pytest.mark.parametrize("metric,dims,orders", [
+        ("intrinsic", (2, 3, 4, 5), 3), ("subspace", (2, 3, 4), 2),
+    ], ids=["intrinsic", "subspace"])
+    @pytest.mark.parametrize("tmin", [1e2, 1e3, 1e4, 1e6, 1e8, 1e12, 1e50, 1e100])
+    def test_spread_covers_the_error_or_the_call_exits_three(self, capsys, metric, dims, orders,
+                                                             tmin):
+        # Far enough out that the closed forms' e^(-pi t) terms, which no power
+        # of t models, are below every spread.  The spread printed bounds the
+        # samples' rounding and quadrature errors carried through the fit.
+        from magnitude import asymptotics
+
+        for n in dims:
+            if metric == "intrinsic":
+                exact = [c for _, c in asymptotics.predicted_expansion_intrinsic_sphere(n).terms]
+            else:
+                exact = [1.0, (n + 1) * n * (n - 2) / 8.0]
+            code, out, err = run_cli(capsys, "asymptotics", "--dim", str(n), "--metric", metric,
+                                     "--orders", str(orders), "--tmin", repr(tmin),
+                                     "--tmax", repr(8.0 * tmin))
+            if code == 3:  # IllConditionedFit, or NonFiniteResult where t^n overflows
+                assert out == ""
+                continue
+            assert code == 0, err
+            rows = list(csv.DictReader(out.splitlines()))
+            assert len(rows) == orders
+            for row, value in zip(rows, exact):
+                assert abs(float(row["extracted"]) - value) <= float(row["spread"]), (n, row)
+
+    def test_noise_at_large_scales_exits_three(self, capsys):
+        # The R^-2 coefficient at R = 1e100 is (ratio - 1) R^2 with ratio 1 to
+        # within rel_tol: it used to print 2.47e190 with exit 0.
+        for argv in (("--metric", "subspace", "--dim", "2", "--orders", "2"),
+                     ("--metric", "intrinsic", "--dim", "2", "--orders", "3")):
+            code, out, err = run_cli(capsys, "asymptotics", *argv, "--tmin", "1e100",
+                                     "--tmax", "8e100")
+            assert code == 3
+            assert out == ""
+            assert err.startswith("IllConditionedFit: ")
+
     def test_subspace_dim_one_predicts_only_the_leading_term(self, capsys):
         code, out, _ = run_cli(capsys, "asymptotics", "--dim", "1", "--metric", "subspace",
                                "--orders", "1", "--tmin", "10", "--tmax", "80")
