@@ -116,8 +116,37 @@ def _cantor_closed(length, dim, n, tol, loaded):
     return line.cantor_magnitude_series(length, tol), tol
 
 
+#: Peak bytes per interval of a Cantor level set and its endpoint sum: the
+#: intervals are Python tuples (tracemalloc reads about 225 B each from
+#: depth 14 on).
+_CANTOR_INTERVAL_BYTES = 240
+
+
+def _available_bytes() -> int | None:
+    """Memory a new allocation can take: MemAvailable from /proc/meminfo, else
+    the free physical pages, else None when neither can be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for entry in fh:
+                if entry.startswith("MemAvailable:"):
+                    return int(entry.split()[1]) * 1024
+    except (OSError, ValueError):
+        pass
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError):
+        return None
+
+
 def _cantor_finite(length, dim, depth, tol, loaded):
-    # The integer selects the construction depth of the carrier.
+    # The integer selects the construction depth of the carrier, whose 2^depth
+    # intervals are refused before they are built if they cannot fit.
+    available = _available_bytes()
+    if available is not None and _CANTOR_INTERVAL_BYTES << depth > available:
+        raise MemoryError(
+            f"a Cantor carrier of depth {depth} holds 2^{depth} intervals and needs about "
+            f"{_CANTOR_INTERVAL_BYTES} x 2^{depth} bytes; {available} bytes are available"
+        )
     carrier = line.cantor_level_set(length, depth)
     return line.line_points_magnitude(line.finite_approx_points(carrier, 2))
 

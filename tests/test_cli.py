@@ -738,6 +738,40 @@ class TestInputDomain:
         assert err.startswith("NonFiniteResult")
         assert not out.exists()
 
+    @pytest.mark.parametrize("depth,budget", [(2000, 8 << 30), (25, 7 << 30), (6, 240 * 2**6 - 1)])
+    def test_cantor_depth_that_cannot_fit_exits_two_before_building(self, capsys, tmp_path,
+                                                                    monkeypatch, depth, budget):
+        from magnitude import cli, line
+
+        def never(*args):
+            raise AssertionError("the carrier was built")
+
+        monkeypatch.setattr(cli, "_available_bytes", lambda: budget)
+        monkeypatch.setattr(line, "cantor_level_set", never)
+        spec = tmp_path / "sweep.spec"
+        spec.write_text(f"space=cantor\nmethod=finite-{depth}\nstart=1\nstop=3\npoints=3\n")
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out))
+        assert code == 2
+        assert err.startswith(f"MemoryError: a Cantor carrier of depth {depth} ")
+        assert f"240 x 2^{depth} bytes; {budget} bytes are available" in err
+        assert not out.exists()
+
+    def test_cantor_depth_that_fits_is_built(self, capsys, tmp_path, monkeypatch):
+        from magnitude import cli
+
+        monkeypatch.setattr(cli, "_available_bytes", lambda: 240 * 2**6)
+        spec = tmp_path / "sweep.spec"
+        spec.write_text("space=cantor\nmethod=finite-6\nstart=1\nstop=3\npoints=3\n")
+        code, _, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(tmp_path / "o.csv"))
+        assert code == 0, err
+
+    def test_available_bytes_reads_a_positive_count(self):
+        from magnitude import cli
+
+        available = cli._available_bytes()
+        assert available is None or available > 0
+
     @pytest.mark.parametrize("length", ["1e200", "1e300"])
     def test_cantor_series_huge_length(self, capsys, length):
         code, out, _ = run_cli(capsys, "cantor", "--length", length, "--series")
