@@ -358,6 +358,22 @@ class SweepSpec:
         return np.geomspace(self.start, self.stop, self.points)
 
 
+#: The spaces that take each key a sweep file may add to the required ones.
+_SPACES_TAKING = {
+    "dim": ("sphere-intrinsic", "sphere-subspace"),
+    "matrix": ("finite-file",),
+}
+
+
+def _spec_number(path, fields: dict, key: str, kind: type):
+    """fields[key] read as kind (int or float), or a ValueError naming the file and the key."""
+    try:
+        return kind(fields[key])
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{path}: {key} must be {what}, got {fields[key]!r}") from None
+
+
 def parse_sweep_spec(path) -> SweepSpec:
     """Parse the flat key=value sweep file."""
     fields: dict[str, str] = {}
@@ -389,12 +405,8 @@ def parse_sweep_spec(path) -> SweepSpec:
     if (space, _method_kind(method)[0]) not in EVALUATORS:
         valid = " or ".join(m.replace("finite", "finite-N") for s, m in EVALUATORS if s == space)
         raise ValueError(f"{path}: method for space {space!r} must be {valid}; got {method!r}")
-    try:
-        start = float(fields["start"])
-        stop = float(fields["stop"])
-        points = int(fields["points"])
-    except ValueError:
-        raise ValueError(f"{path}: start/stop must be numbers and points an integer") from None
+    start, stop = (_spec_number(path, fields, key, float) for key in ("start", "stop"))
+    points = _spec_number(path, fields, "points", int)
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"{path}: start and stop must be finite, got {start} and {stop}")
     if not start < stop:
@@ -409,17 +421,22 @@ def parse_sweep_spec(path) -> SweepSpec:
     if scale == "geometric" and not start > 0.0:
         raise ValueError(f"{path}: geometric grids need start > 0, got {start}")
 
+    for key, spaces in _SPACES_TAKING.items():
+        if key in fields and space not in spaces:
+            raise ValueError(f"{path}: {key} applies only to {' and '.join(spaces)} sweeps, not {space!r}")
     dim = None
-    if space in ("sphere-intrinsic", "sphere-subspace"):
+    if space in _SPACES_TAKING["dim"]:
         if "dim" not in fields:
             raise ValueError(f"{path}: sphere sweeps need dim=<int>")
-        dim = int(fields["dim"])
+        dim = _spec_number(path, fields, "dim", int)
     matrix = None
-    if space == "finite-file":
+    if space in _SPACES_TAKING["matrix"]:
         if "matrix" not in fields:
             raise ValueError(f"{path}: finite-file sweeps need matrix=<path>")
         matrix = fields["matrix"]
-    tol = float(fields["tol"]) if "tol" in fields else None
+    tol = None
+    if "tol" in fields:
+        tol = positive_finite(_spec_number(path, fields, "tol", float), f"{path}: tol")
 
     return SweepSpec(
         space=space,

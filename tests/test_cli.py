@@ -439,12 +439,33 @@ class TestSweep:
             "space=interval\nmethod=closed\nstart=1\nstop=2\npoints=2\nbogus=1\n",
             "space=sphere-intrinsic\nmethod=closed\nstart=1\nstop=2\npoints=2\n",  # no dim
             "space=sphere-subspace\ndim=3\nmethod=closed\nstart=1\nstop=2\npoints=2\n",
+            # Each malformed value is named with the file and the key.
+            ("space=sphere-intrinsic\ndim=abc\nmethod=closed\nstart=1\nstop=2\npoints=2\n",
+             "dim must be an integer, got 'abc'"),
+            ("space=cantor\nmethod=closed\nstart=1\nstop=2\npoints=2\ntol=abc\n",
+             "tol must be a number, got 'abc'"),
+            ("space=cantor\nmethod=closed\nstart=1\nstop=2\npoints=2\ntol=0\n",
+             "tol must be positive and finite, got 0.0"),
+            ("space=interval\nmethod=closed\nstart=x\nstop=2\npoints=2\n",
+             "start must be a number, got 'x'"),
+            ("space=interval\nmethod=closed\nstart=1\nstop=2\npoints=2.5\n",
+             "points must be an integer, got '2.5'"),
+            # A key the space does not take.
+            ("space=interval\ndim=3\nmethod=closed\nstart=1\nstop=2\npoints=2\n",
+             "dim applies only to sphere-intrinsic and sphere-subspace sweeps, not 'interval'"),
+            ("space=interval\nmatrix=d.csv\nmethod=closed\nstart=1\nstop=2\npoints=2\n",
+             "matrix applies only to finite-file sweeps, not 'interval'"),
+            ("space=sphere-intrinsic\ndim=2\nmatrix=d.csv\nmethod=closed\nstart=1\nstop=2\npoints=2\n",
+             "matrix applies only to finite-file sweeps, not 'sphere-intrinsic'"),
         ]
-        for text in cases:
+        for case in cases:
+            text, message = case if isinstance(case, tuple) else (case, None)
             spec = self.write_spec(tmp_path, text)
             code, _, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(tmp_path / "o.csv"))
             assert code == 2, text
             assert err
+            if message is not None:
+                assert err.startswith(f"ValueError: {spec}: {message}"), err
 
     def test_parse_sweep_spec_values(self, tmp_path):
         spec = self.write_spec(
