@@ -139,6 +139,21 @@ class TestFinite:
         assert code == 3
         assert "SingularSystem" in err
 
+    def test_fresh_processes_print_the_same_bytes(self, tmp_path):
+        # The rcond is printed to 17 digits; with the BLAS thread count fixed,
+        # it must not change from run to run.
+        import numpy as np
+
+        points = np.random.default_rng(5).uniform(0.0, 10.0, size=(300, 3))
+        d = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1))
+        np.savetxt(tmp_path / "d.csv", d, fmt="%.17g", delimiter=",")
+        outputs = set()
+        for _ in range(3):
+            proc = run_python(["-m", "magnitude", "finite", "--matrix", "d.csv"], tmp_path, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+
     def test_env_var_overrides_default_tol(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv(TOL_ENV_VAR, raising=False)
         p = tmp_path / "d.csv"
