@@ -180,8 +180,8 @@ def extract_coefficients(
     Returns
     -------
     AsymptoticExpansion
-        With per-term spreads attached and error_order one model step below
-        the last extracted power.
+        With per-term spreads and gradients attached and error_order one
+        model step below the last extracted power.
     """
     parity_step = int(parity_step)
     count = int(count)

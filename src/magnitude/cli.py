@@ -140,9 +140,10 @@ def _available_bytes() -> int | None:
 
 def _cantor_finite(length, dim, depth, tol, loaded):
     # The integer selects the construction depth of the carrier, whose 2^depth
-    # intervals are refused before they are built if they cannot fit.
+    # intervals are refused before they are built if they cannot fit; from
+    # depth 64 on they never do, and the shift is capped there.
     available = _available_bytes()
-    if available is not None and _CANTOR_INTERVAL_BYTES << depth > available:
+    if available is not None and _CANTOR_INTERVAL_BYTES << min(depth, 64) > available:
         raise MemoryError(
             f"a Cantor carrier of depth {depth} holds 2^{depth} intervals and needs about "
             f"{_CANTOR_INTERVAL_BYTES} x 2^{depth} bytes; {available} bytes are available"
