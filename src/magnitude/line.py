@@ -295,7 +295,7 @@ def cantor_level_measure(length: float, depth: int) -> tuple[LineSubset, LineWei
     explicit measure is wanted (residual checks, demos).
     """
     space, measure = interval_weight_measure(length)
-    for _ in range(int(depth)):
+    for _ in range(at_least(depth, 0, "depth")):
         for a, b in list(space.intervals):
             third = (b - a) / 3.0
             space, measure = remove_open_interval(space, measure, a + third, b - third)

@@ -173,6 +173,11 @@ class TestHoleRemoval:
 
 
 class TestCantor:
+    def test_level_measure_rejects_a_negative_depth(self):
+        # It returned the bare interval, as every other Cantor function refused.
+        with pytest.raises(ValueError, match="need depth >= 0, got -1"):
+            cantor_level_measure(1.0, -1)
+
     def test_series_small_length_tends_to_one(self):
         assert cantor_magnitude_series(1e-9, 1e-12) == pytest.approx(1.0, abs=1e-9)
 
