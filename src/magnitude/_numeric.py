@@ -1,5 +1,5 @@
-"""Numerically careful scalar helpers, the scalar input checks and the default
-tolerance, shared across modules.
+"""Numerically careful scalar helpers, the scalar input checks, the default
+tolerance and the base of the package's value types, shared across modules.
 
 The numerical helpers guard against catastrophic cancellation near zero by
 switching to a short series branch; the crossover thresholds are chosen so
@@ -19,6 +19,43 @@ DEFAULT_TOL = 1e-10
 # Below this the series branches are used for expressions of the form
 # x / (1 - e^{-x}) and (x^2 / 2) / (1 - (1+x) e^{-x}).
 SERIES_CUTOFF = 1e-4
+
+
+class Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields in __slots__, in constructor order, and sets
+    them in __init__ with object.__setattr__.  Its instances refuse
+    assignment, and compare, hash, print and pickle by those fields.  A
+    frozen dataclass would do the same, but its module loads inspect, whose
+    import costs a closed-form call more time than its arithmetic does.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 def at_least(value, least: int, name: str) -> int:

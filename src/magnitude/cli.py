@@ -18,15 +18,13 @@ closed-form call needs only the standard library.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import line, spheres
-from ._numeric import DEFAULT_TOL, positive_finite
+from ._numeric import DEFAULT_TOL, Frozen, positive_finite
 from .errors import IllConditionedFit, MagnitudeError, NonFiniteResult
 
 if TYPE_CHECKING:
@@ -272,6 +270,8 @@ def _sampler(f, samples: dict):
 
 
 def _cmd_asymptotics(args) -> int:
+    import csv
+
     from . import asymptotics
 
     n = args.dim
@@ -296,13 +296,14 @@ def _cmd_asymptotics(args) -> int:
         raise ValueError(problem)
     samples = {}
     if args.metric == "intrinsic":
-        relative_error = asymptotics.closed_form_rounding(n)
+        rounding = asymptotics.closed_form_rounding(n)
+        relative_errors = [rounding + asymptotics.closed_form_tail(t) for t in grid]
         extracted = asymptotics.extract_parity_expansion(
             _sampler(lambda t: spheres.sphere_magnitude_closed(n, t), samples), n, grid
         )
     else:
         cfg = _quad_config(args.tol)
-        relative_error = cfg.rel_tol + asymptotics.subspace_ratio_rounding(n)
+        relative_errors = [cfg.rel_tol + asymptotics.subspace_ratio_rounding(n)] * len(grid)
         extracted = asymptotics.extract_subspace_expansion(
             _sampler(lambda R: asymptotics.subspace_ratio(n, R, cfg), samples), grid
         )
@@ -310,7 +311,7 @@ def _cmd_asymptotics(args) -> int:
     # t^k coefficient by at most sum_i |d c_k / d f_i| e_i: the spread printed
     # is the larger of that and the extrapolation spread.  Every row is
     # computed before the first is written.
-    errors = [(relative_error + asymptotics.FIT_ROUNDING) * abs(samples[t]) for t in grid]
+    errors = [(e + asymptotics.FIT_ROUNDING) * abs(samples[t]) for e, t in zip(relative_errors, grid)]
     lead = abs(extracted.terms[0][1])
     rows = [header]
     for (power, coeff), spread, gradient, expected in zip(
@@ -336,20 +337,39 @@ def _cmd_tube_check(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-parameter sweep: space kind, grid, and evaluation method."""
+class SweepSpec(Frozen):
+    """One-parameter sweep: space kind, grid, and evaluation method.
 
-    space: str
-    param_name: str
-    start: float
-    stop: float
-    points: int
-    scale: str  # "linear" | "geometric"
-    method: str  # "closed" | "quadrature" | "finite-N"
-    dim: int | None = None
-    matrix: str | None = None
-    tol: float | None = None
+    scale is "linear" or "geometric"; method is "closed", "quadrature" or
+    "finite-N".
+    """
+
+    __slots__ = ("space", "param_name", "start", "stop", "points", "scale", "method", "dim",
+                 "matrix", "tol")
+
+    def __init__(
+        self,
+        space: str,
+        param_name: str,
+        start: float,
+        stop: float,
+        points: int,
+        scale: str,
+        method: str,
+        dim: int | None = None,
+        matrix: str | None = None,
+        tol: float | None = None,
+    ):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "param_name", param_name)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "stop", stop)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "tol", tol)
 
     def grid(self) -> np.ndarray:
         import numpy as np
@@ -466,6 +486,8 @@ def _method_kind(method: str) -> tuple[str, int | None]:
 
 
 def _cmd_sweep(args) -> int:
+    import csv
+
     spec = parse_sweep_spec(args.spec)
     kind, n = _method_kind(spec.method)
     evaluate = EVALUATORS[spec.space, kind]

@@ -14,11 +14,10 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import DEFAULT_TOL, positive_finite
+from ._numeric import DEFAULT_TOL, Frozen, positive_finite
 from .errors import NonpositiveLength, NonpositiveScale, NotHomogeneous, SingularSystem
 
 #: Rows per block of the triangle check; a block works in arrays of
@@ -151,17 +150,19 @@ def _triangle_block(d, i0, slack):
     return i0 + a, i0 + c
 
 
-@dataclass(frozen=True)
-class Weighting:
+class Weighting(Frozen):
     """Solution of the weight equation Z w = 1.
 
     residual_norm is the max-norm of Z w - 1 and rcond the reciprocal
     condition estimate of Z in the 1-norm.
     """
 
-    w: np.ndarray
-    residual_norm: float
-    rcond: float
+    __slots__ = ("w", "residual_norm", "rcond")
+
+    def __init__(self, w: np.ndarray, residual_norm: float, rcond: float):
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "residual_norm", residual_norm)
+        object.__setattr__(self, "rcond", rcond)
 
 
 def similarity_matrix(X: FiniteMetricSpace) -> np.ndarray:

@@ -19,10 +19,9 @@ standard library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ._numeric import at_least, positive_finite, tanh_minus_x, tanh_over_x
+from ._numeric import Frozen, at_least, positive_finite, tanh_minus_x, tanh_over_x
 from .errors import (
     HypothesisViolated,
     NonpositiveLength,
@@ -38,18 +37,16 @@ if TYPE_CHECKING:
 MERGE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class LineSubset:
+class LineSubset(Frozen):
     """Disjoint union of closed intervals [a_i, b_i], sorted left to right.
 
     Degenerate point intervals (a == b) are permitted.
     """
 
-    intervals: tuple[tuple[float, float], ...]
+    __slots__ = ("intervals",)
 
-    def __post_init__(self):
-        ivs = tuple((float(a), float(b)) for a, b in self.intervals)
-        object.__setattr__(self, "intervals", ivs)
+    def __init__(self, intervals: tuple[tuple[float, float], ...]):
+        ivs = tuple((float(a), float(b)) for a, b in intervals)
         if not ivs:
             raise ValueError("carrier must contain at least one interval")
         for a, b in ivs:
@@ -60,6 +57,7 @@ class LineSubset:
         for (_, b), (a2, _) in zip(ivs, ivs[1:]):
             if not b < a2:
                 raise ValueError("intervals must be disjoint and sorted")
+        object.__setattr__(self, "intervals", ivs)
 
     @property
     def hull(self) -> tuple[float, float]:
@@ -69,8 +67,7 @@ class LineSubset:
         return any(a <= y <= b for a, b in self.intervals)
 
 
-@dataclass(frozen=True)
-class LineWeightMeasure:
+class LineWeightMeasure(Frozen):
     """Signed measure: point atoms plus piecewise-constant density.
 
     atoms are (location, mass) pairs sorted by location; densities are
@@ -78,14 +75,15 @@ class LineWeightMeasure:
     segments are not stored.
     """
 
-    atoms: tuple[tuple[float, float], ...] = ()
-    densities: tuple[tuple[float, float, float], ...] = ()
+    __slots__ = ("atoms", "densities")
 
-    def __post_init__(self):
-        atoms = tuple((float(x), float(m)) for x, m in self.atoms)
-        dens = tuple((float(a), float(b), float(c)) for a, b, c in self.densities)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "densities", dens)
+    def __init__(
+        self,
+        atoms: tuple[tuple[float, float], ...] = (),
+        densities: tuple[tuple[float, float, float], ...] = (),
+    ):
+        atoms = tuple((float(x), float(m)) for x, m in atoms)
+        dens = tuple((float(a), float(b), float(c)) for a, b, c in densities)
         for (x1, _), (x2, _) in zip(atoms, atoms[1:]):
             if not x1 < x2:
                 raise ValueError("atoms must be sorted by location, without duplicates")
@@ -95,6 +93,8 @@ class LineWeightMeasure:
         for (_, b1, _), (a2, _, _) in zip(dens, dens[1:]):
             if b1 > a2:
                 raise ValueError("density segments must be disjoint and sorted")
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "densities", dens)
 
 
 def measure_total_mass(measure: LineWeightMeasure) -> float:

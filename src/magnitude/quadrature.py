@@ -17,13 +17,11 @@ estimate from successive refinements converges very quickly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar
 
 import numpy as np
 
-from ._numeric import at_least, positive_finite
+from ._numeric import Frozen, at_least, positive_finite
 from .errors import NoConvergence
 # The chord-metric closed form lives in the numpy-free spheres module; it is
 # re-exported here, as the same object, beside the quadrature it checks.
@@ -35,29 +33,30 @@ _SPLIT_RATE = 50.0
 _SPLIT_SCALE = 30.0
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class QuadratureConfig(Frozen):
     """Tolerance of smooth 1-D integrals: only rel_tol varies per call; the
     panel order, bisection limit and absolute floor are class constants."""
 
-    rel_tol: float = 1e-12
-    abs_tol: ClassVar[float] = 1e-300
-    panel_order: ClassVar[int] = 15
-    max_refinements: ClassVar[int] = 20
+    __slots__ = ("rel_tol",)
+    abs_tol = 1e-300
+    panel_order = 15
+    max_refinements = 20
 
-    def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
+    def __init__(self, rel_tol: float = 1e-12):
+        # An infinite rel_tol would accept every integral at its first level.
+        object.__setattr__(self, "rel_tol", positive_finite(rel_tol, "rel_tol"))
 
 
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-@dataclass(frozen=True)
-class IntegralResult:
-    value: float
-    error_estimate: float
-    refinements_used: int
+class IntegralResult(Frozen):
+    __slots__ = ("value", "error_estimate", "refinements_used")
+
+    def __init__(self, value: float, error_estimate: float, refinements_used: int):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "error_estimate", error_estimate)
+        object.__setattr__(self, "refinements_used", refinements_used)
 
 
 @lru_cache(maxsize=None)

@@ -12,11 +12,10 @@ only the standard library, so a closed-form call never imports numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from ._numeric import (
+    Frozen,
     at_least,
     half_x2_over_one_minus_one_plus_x_exp_neg,
     positive_finite,
@@ -121,25 +120,26 @@ def recurrence_step_check(n: int, R: float) -> float:
     return sphere_magnitude_closed(n + 2, R) - ((R / (n + 1)) ** 2 + 1.0) * sphere_magnitude_closed(n, R)
 
 
-@dataclass(frozen=True)
-class SpherePolynomial:
+class SpherePolynomial(Frozen):
     """Numerator polynomial of the closed-form sphere magnitude.
 
-    coeffs maps power -> coefficient; only powers with the parity of n
-    appear, the constant term is the Euler characteristic (2 for even n,
-    0 for odd), and the leading coefficient is sigma_n / (n! omega_n).
+    coeffs holds (power, coefficient) pairs by descending power; only
+    powers with the parity of n appear, the constant term is the Euler
+    characteristic (2 for even n, 0 for odd), and the leading coefficient is
+    sigma_n / (n! omega_n).
     """
 
-    n: int
-    coeffs: tuple[tuple[int, float], ...]  # (power, coefficient), descending
+    __slots__ = ("n", "coeffs")
 
-    def __post_init__(self):
-        for power, _ in self.coeffs:
-            if (power - self.n) % 2 != 0:
-                raise ValueError(f"power {power} breaks the parity of n={self.n}")
-        powers = [p for p, _ in self.coeffs]
+    def __init__(self, n: int, coeffs: tuple[tuple[int, float], ...]):
+        for power, _ in coeffs:
+            if (power - n) % 2 != 0:
+                raise ValueError(f"power {power} breaks the parity of n={n}")
+        powers = [p for p, _ in coeffs]
         if powers != sorted(powers, reverse=True):
             raise ValueError("coefficients must be listed by descending power")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def coefficient(self, power: int) -> float:
         for p, c in self.coeffs:
@@ -166,6 +166,8 @@ def P_polynomial(n: int) -> SpherePolynomial:
     arithmetic, then scaled by 2 (n even) or pi (odd, with one extra power
     of R), so each coefficient carries a single rounding.
     """
+    from fractions import Fraction
+
     n = at_least(n, 0, "n")
     start = 1 if n % 2 == 0 else 2
     # Polynomial in R^2 with rational coefficients, ascending.

@@ -95,6 +95,8 @@ SCALARS = [
      r"\bR\b|radius", NOT_POSITIVE_FINITE),
     ("watson_partial_sum", lambda t: mg.watson_partial_sum(mg.GermExpansion((1.0,), 1.0), t),
      ValueError, r"\bt\b", (0.0, -1.0, math.nan)),
+    ("QuadratureConfig", lambda tol: mg.QuadratureConfig(tol), ValueError, "rel_tol",
+     NOT_POSITIVE_FINITE),
     ("scale", lambda t: mg.scale(_pair(), t), NonpositiveScale, "scale factor",
      NOT_POSITIVE_FINITE),
     ("weighting t", lambda t: mg.weighting(_pair(), t=t), NonpositiveScale, "scale factor",
