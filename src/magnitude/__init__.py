@@ -16,11 +16,13 @@ routes and cross-checks them:
   characteristic predictions (`asymptotics`).
 
 Every public name is resolved on first access from the module that defines
-it, so `import magnitude` imports no submodule.  The closed forms (`spheres`,
-the measure arithmetic and Cantor sums of `line`, `errors`) need only the
-standard library; numpy is imported by `finite`, `quadrature` and
-`asymptotics` and by the functions of `line` that build arrays, and
-scipy's LAPACK extension only by the dense solve in `finite.weighting`.
+it, so `import magnitude` imports no submodule.  The closed forms and the
+O(N) sums over line and circle grids (`spheres`, `line` but for its dense
+references, `errors`) and the coefficient extraction of `asymptotics` need
+only the standard library; numpy is imported by `finite` and `quadrature`,
+by the chord-metric functions of `asymptotics` and by the functions of
+`line` that build arrays, and scipy's LAPACK extension only by the dense
+solve in `finite.weighting`.
 """
 
 import importlib
@@ -57,12 +59,11 @@ _EXPORTS = {
         "SingularSystem",
         "TooFewPoints",
     ),
-    "_numeric": ("DEFAULT_TOL",),
+    "_numeric": ("DEFAULT_CONFIG", "DEFAULT_TOL", "QuadratureConfig"),
     "finite": (
         "FiniteMetricSpace",
         "Weighting",
         "circle_points",
-        "circle_points_magnitude",
         "magnitude_finite",
         "magnitude_homogeneous_finite",
         "read_distance_matrix",
@@ -88,11 +89,9 @@ _EXPORTS = {
         "weight_equation_residual",
     ),
     "quadrature": (
-        "DEFAULT_CONFIG",
         "IntegralResult",
         "I_integral",
         "K_integral",
-        "QuadratureConfig",
         "integrate_adaptive",
         "recurrence_residuals",
         "sphere_magnitude_quadrature",
@@ -102,6 +101,7 @@ _EXPORTS = {
         "P_polynomial",
         "SpherePolynomial",
         "circle_magnitude_closed",
+        "circle_points_magnitude",
         "geodesic_sphere_expansion_check",
         "intrinsic_volume_sphere",
         "leading_and_subleading_check",

@@ -1,13 +1,14 @@
 """Numerically careful scalar helpers, the scalar input checks, the default
-tolerance and the base of the package's value types, shared across modules.
+tolerances and the base of the package's value types, shared across modules.
 
 The numerical helpers guard against catastrophic cancellation near zero by
 switching to a short series branch; the crossover thresholds are chosen so
 that the truncation error of the series sits far below double-precision
 roundoff.  The two checks state the domain rules of the package once: an
 integer dimension or depth at least some least value, and a positive finite
-length, radius, scale or tolerance.  The module needs only the standard
-library.
+length, radius, scale or tolerance.  The quadrature settings live here,
+not in quadrature, so that code which only passes them on (asymptotics, the
+CLI) does not import numpy.  The module needs only the standard library.
 """
 
 import math
@@ -72,6 +73,23 @@ def positive_finite(value, name: str, error: type[Exception] = ValueError):
     if not value > 0.0 or not math.isfinite(value):
         raise error(f"{name} must be positive and finite, got {value}")
     return value
+
+
+class QuadratureConfig(Frozen):
+    """Tolerance of smooth 1-D integrals: only rel_tol varies per call; the
+    panel order, bisection limit and absolute floor are class constants."""
+
+    __slots__ = ("rel_tol",)
+    abs_tol = 1e-300
+    panel_order = 15
+    max_refinements = 20
+
+    def __init__(self, rel_tol: float = 1e-12):
+        # An infinite rel_tol would accept every integral at its first level.
+        object.__setattr__(self, "rel_tol", positive_finite(rel_tol, "rel_tol"))
+
+
+DEFAULT_CONFIG = QuadratureConfig()
 
 
 def x_over_one_minus_exp_neg(x: float) -> float:

@@ -6,17 +6,21 @@ watson_partial_sum evaluates that sum.  Going the other way,
 extract_coefficients recovers expansion coefficients of a magnitude-like
 function from samples on a grid of scales, by sequential stripping with
 polynomial (Richardson/Neville) extrapolation in t^{-step}.
+
+The extraction runs on lists of Python floats: a grid holds a dozen scales
+at most, and the intrinsic-sphere asymptotics then need only the standard
+library.  quadrature, and with it numpy, is imported only by the
+chord-metric functions that integrate.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
 
-import numpy as np
-
-from ._numeric import Frozen, at_least
-from .errors import IllConditionedFit, NonFiniteResult
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, subspace_sphere_magnitude_quadrature
+from ._numeric import DEFAULT_CONFIG, Frozen, QuadratureConfig, at_least
+from .errors import NonFiniteResult
 from .spheres import curvature_coefficient, sphere_magnitude_closed, volume_coefficient
 
 
@@ -137,20 +141,20 @@ def predicted_expansion_subspace_ratio(n: int) -> AsymptoticExpansion:
     return AsymptoticExpansion(((0, 1.0), (-2, predicted_relative_correction_subspace(n))), -4)
 
 
-def _neville_limit(u: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Polynomial extrapolation of (u_j, g_j) to u = 0, column by column of g.
+def _neville_limit(u: list[float], g: list[float]) -> tuple[float, float]:
+    """Polynomial extrapolation of the points (u_j, g_j) to u = 0.
 
-    g has one row per u_j.  Returns, per column, the corner value and the
-    spread between the two highest-order extrapolants.  Only the last two
-    levels of the tableau are held.
+    Returns the corner value of the Neville tableau and the spread between
+    the two highest-order extrapolants; needs at least two points.  Only the
+    last two levels of the tableau are held.
     """
-    prev, cur = None, g
+    cur = g
     for m in range(1, len(u)):  # m is the interpolation depth of the next level
-        um, uj = u[m:, None], u[:-m, None]
-        prev, cur = cur, (um * cur[:-1] - uj * cur[1:]) / (um - uj)
-    final = cur[0]
-    spread = np.abs(final - prev[1]) if prev is not None else np.zeros_like(final)
-    return final, spread
+        prev, cur = cur, [
+            (u[j + m] * cur[j] - u[j] * cur[j + 1]) / (u[j + m] - u[j])
+            for j in range(len(cur) - 1)
+        ]
+    return cur[0], abs(cur[0] - prev[1])
 
 
 def extract_coefficients(
@@ -159,7 +163,6 @@ def extract_coefficients(
     parity_step: int,
     count: int,
     t_grid,
-    coeff_tol: float | None = None,
 ) -> AsymptoticExpansion:
     """Recover expansion coefficients of f(t) = sum c_k t^k from samples.
 
@@ -178,9 +181,6 @@ def extract_coefficients(
         Power ladder of the model.
     t_grid : sequence of float
         Strictly increasing positive scales, at least count + 2 of them.
-    coeff_tol : float, optional
-        When given, raise IllConditionedFit if any extrapolation spread
-        exceeds it.
 
     Returns
     -------
@@ -194,50 +194,55 @@ def extract_coefficients(
         raise ValueError(f"parity_step must be >= 1, got {parity_step}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    t = np.asarray([float(v) for v in t_grid], dtype=float)
-    if t.size < count + 2:
-        raise ValueError(f"need at least count + 2 = {count + 2} grid points, got {t.size}")
-    if np.any(t <= 0.0) or np.any(np.diff(t) <= 0.0):
+    t = [float(v) for v in t_grid]
+    size = len(t)
+    if size < count + 2:
+        raise ValueError(f"need at least count + 2 = {count + 2} grid points, got {size}")
+    if not (t[0] > 0.0 and all(map(operator.lt, t, t[1:]))):
         raise ValueError("t_grid must be strictly increasing and positive")
-    fvals = np.asarray([float(f(v)) for v in t], dtype=float)
-    if not np.all(np.isfinite(fvals)):
+    fvals = [float(f(v)) for v in t]
+    if not all(map(math.isfinite, fvals)):
         raise ValueError("f must be finite on the whole grid")
 
     powers = [int(leading_power) - i * parity_step for i in range(count)]
-    # Checked rather than warned about: on grids near the ends of the double
-    # range these powers, and then the sums of the fit, overflow or underflow.
-    with np.errstate(all="ignore"):
-        u = t ** (-parity_step)
-        tpow = {k: t ** float(k) for k in powers}
-    if not all(np.all(np.isfinite(p) & (p > 0.0)) for p in (u, *tpow.values())):
+    # On grids near the ends of the double range these powers, and then the
+    # sums of the fit, overflow or underflow: checked, not left to propagate.
+    try:
+        u = [v ** -parity_step for v in t]
+        tpow = {k: [v ** float(k) for v in t] for k in powers}
+        fits = all(math.isfinite(p) and p > 0.0 for row in (u, *tpow.values()) for p in row)
+    except OverflowError:
+        fits = False
+    if not fits:
         raise ValueError("t_grid is too close to 0 or to the double limit for this model")
     # The fit is linear in the samples.  Column 0 holds them and column 1 + i
     # the unit sample e_i, whose coefficients are the derivatives d c_k / d f_i;
     # column 0 sees the same floating-point operations as a fit of it alone.
-    columns = np.column_stack((fvals, np.eye(t.size)))
-    with np.errstate(all="ignore"):
-        coeffs = {k: np.zeros(columns.shape[1]) for k in powers}
-        spreads = {k: 0.0 for k in powers}
+    columns = [fvals] + [[float(i == j) for i in range(size)] for j in range(size)]
+    coeffs = {k: [0.0] * len(columns) for k in powers}
+    spreads = {k: 0.0 for k in powers}
+    try:
         for _ in range(1 if count == 1 else 2):
             for k in powers:
-                residual = columns.copy()
-                for m in powers:
-                    if m != k:
-                        residual -= np.outer(tpow[m], coeffs[m])
-                coeffs[k], spread = _neville_limit(u, residual / tpow[k][:, None])
-                spreads[k] = float(spread[0])
+                limits = []
+                for j, column in enumerate(columns):
+                    residual = column
+                    for m in powers:
+                        if m != k:
+                            residual = [r - p * coeffs[m][j] for r, p in zip(residual, tpow[m])]
+                    limits.append(_neville_limit(u, [r / p for r, p in zip(residual, tpow[k])]))
+                coeffs[k] = [c for c, _ in limits]
+                spreads[k] = limits[0][1]
+    except ZeroDivisionError:  # two grid points whose t^-step round alike
+        raise NonFiniteResult(f"the t^{k} coefficient or its spread is not finite on this grid") from None
     for k in powers:
         if not (math.isfinite(coeffs[k][0]) and math.isfinite(spreads[k])):
             raise NonFiniteResult(f"the t^{k} coefficient or its spread is not finite on this grid")
-        if coeff_tol is not None and not spreads[k] <= coeff_tol:
-            raise IllConditionedFit(
-                f"spread {spreads[k]:.3e} for the t^{k} coefficient exceeds {coeff_tol:.3e}"
-            )
     return AsymptoticExpansion(
-        terms=tuple((k, float(coeffs[k][0])) for k in powers),
+        terms=tuple((k, coeffs[k][0]) for k in powers),
         error_order=powers[-1] - parity_step,
         spreads=tuple(spreads[k] for k in powers),
-        gradients=tuple(tuple(coeffs[k][1:].tolist()) for k in powers),
+        gradients=tuple(tuple(coeffs[k][1:]) for k in powers),
     )
 
 
@@ -261,25 +266,31 @@ def extract_parity_expansion(f, leading_power: int, t_grid) -> AsymptoticExpansi
 
     odd = extract_coefficients(deflated, k - 1, 1, 1, t_grid)
     # deflated(t_i) = f_i - c_top t_i^k - c_sub t_i^(k-2), so the chain rule
-    # carries the odd coefficient's gradient over to the samples f.
-    t = np.array(list(table))
-    top, sub = (np.array(g) for g in even.gradients)
-    with np.errstate(all="ignore"):
-        chain = np.eye(t.size) - np.outer(t**k, top) - np.outer(t ** (k - 2), sub)
-        odd_gradient = np.array(odd.gradients[0]) @ chain
+    # carries the odd coefficient's gradient over to the samples f:
+    # d c_odd / d f_j = sum_i g_i (delta_ij - t_i^k top_j - t_i^(k-2) sub_j).
+    # Both extractions accepted every t^k and t^(k-2) on this grid.
+    top, sub = even.gradients
+    ts = list(table)
+    rows = [(g, t**k, t ** (k - 2)) for g, t in zip(odd.gradients[0], ts)]
+    odd_gradient = tuple(
+        sum(g * ((float(i == j) - tk * top[j]) - tk2 * sub[j]) for i, (g, tk, tk2) in enumerate(rows))
+        for j in range(len(ts))
+    )
     return AsymptoticExpansion(
         terms=((k, c_top), (k - 1, odd.coefficient(k - 1)), (k - 2, c_sub)),
         error_order=k - 3,
         spreads=(even.spreads[0], odd.spreads[0], even.spreads[1]),
-        gradients=(even.gradients[0], tuple(odd_gradient.tolist()), even.gradients[1]),
+        gradients=(top, odd_gradient, sub),
     )
 
 
 def subspace_ratio(n: int, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Chord-metric magnitude of S^n_R over its leading term sigma_n R^n / (n! omega_n)."""
+    from .quadrature import subspace_sphere_magnitude_quadrature
+
     magnitude = subspace_sphere_magnitude_quadrature(n, R, cfg)
     lead = volume_coefficient(n) * R**n
-    if lead < np.finfo(float).tiny:
+    if lead < sys.float_info.min:
         raise ValueError(f"grid too close to 0: the leading term at R = {R!r} is below the normal range")
     return magnitude / lead
 
@@ -348,12 +359,10 @@ def extract_subspace_expansion(ratio, R_grid) -> AsymptoticExpansion:
     table = {float(R): ratio(float(R)) for R in R_grid}
     lead = extract_coefficients(table.__getitem__, 0, 2, 1, R_grid)
     correction = extract_coefficients(lambda R: (table[R] - 1.0) * R * R, 0, 2, 1, R_grid)
-    R = np.array(list(table))
-    with np.errstate(over="ignore"):
-        correction_gradient = np.array(correction.gradients[0]) * R * R
+    correction_gradient = tuple(g * R * R for g, R in zip(correction.gradients[0], table))
     return AsymptoticExpansion(((0, lead.coefficient(0)), (-2, correction.coefficient(0))), -4,
                                (lead.spreads[0], correction.spreads[0]),
-                               (lead.gradients[0], tuple(correction_gradient.tolist())))
+                               (lead.gradients[0], correction_gradient))
 
 
 def extract_subspace_relative_correction(

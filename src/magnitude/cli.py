@@ -11,8 +11,12 @@ named on stderr.  All numbers are printed with 17 significant digits so
 doubles round-trip exactly.
 
 Only the routes that build arrays import numpy and the modules that need it
-(finite, quadrature, asymptotics), inside the functions that run them; a
-closed-form call needs only the standard library.
+(finite, quadrature), inside the functions that run them: dense solves,
+quadratures and sweep grids.  The closed forms, finite subsets of the line
+and circle grids (O(N) sums over Python floats) and the intrinsic-metric
+asymptotics need only the standard library.  A line grid or a Cantor
+carrier that cannot fit in the available memory is refused before it is
+built (MemoryError, exit 2).
 """
 
 from __future__ import annotations
@@ -24,13 +28,11 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import line, spheres
-from ._numeric import DEFAULT_TOL, Frozen, positive_finite
+from ._numeric import DEFAULT_CONFIG, DEFAULT_TOL, Frozen, QuadratureConfig, positive_finite
 from .errors import IllConditionedFit, MagnitudeError, NonFiniteResult
 
 if TYPE_CHECKING:
     import numpy as np
-
-    from . import quadrature
 
 #: Environment variable overriding the default tolerance of every subcommand.
 TOL_ENV_VAR = "MAGNITUDE_DEFAULT_TOL"
@@ -67,10 +69,8 @@ def _tolerance(tol: float | None, fallback: float) -> float:
     return positive_finite(tol, name)
 
 
-def _quad_config(tol: float | None) -> quadrature.QuadratureConfig:
-    from . import quadrature
-
-    return quadrature.QuadratureConfig(rel_tol=_tolerance(tol, quadrature.DEFAULT_CONFIG.rel_tol))
+def _quad_config(tol: float | None) -> QuadratureConfig:
+    return QuadratureConfig(rel_tol=_tolerance(tol, DEFAULT_CONFIG.rel_tol))
 
 
 def _solver_tol(tol: float | None) -> float:
@@ -106,6 +106,8 @@ def _interval_closed(length, dim, n, tol, loaded):
 
 def _interval_finite(length, dim, n, tol, loaded):
     space, _ = line.interval_weight_measure(length)
+    _refuse_unless_fits(_LINE_POINT_BYTES * n,
+                        f"a line grid of {n} points needs about {_LINE_POINT_BYTES} x {n} bytes")
     return line.line_points_magnitude(line.finite_approx_points(space, n))
 
 
@@ -114,9 +116,14 @@ def _cantor_closed(length, dim, n, tol, loaded):
     return line.cantor_magnitude_series(length, tol), tol
 
 
+#: Peak bytes per point of a line grid and its tanh sum: the points are
+#: Python floats in lists (tracemalloc reads about 41 B each from N = 10^4 on).
+_LINE_POINT_BYTES = 48
+
+
 #: Peak bytes per interval of a Cantor level set and its endpoint sum: the
-#: intervals are Python tuples (tracemalloc reads about 225 B each from
-#: depth 14 on).
+#: intervals are Python tuples and the endpoints Python floats (tracemalloc
+#: reads about 192 B each from depth 14 on).
 _CANTOR_INTERVAL_BYTES = 240
 
 
@@ -136,16 +143,23 @@ def _available_bytes() -> int | None:
         return None
 
 
+def _refuse_unless_fits(need: int, what: str) -> None:
+    """MemoryError, before anything is built, when need bytes cannot fit; what
+    names the need."""
+    available = _available_bytes()
+    if available is not None and need > available:
+        raise MemoryError(f"{what}; {available} bytes are available")
+
+
 def _cantor_finite(length, dim, depth, tol, loaded):
     # The integer selects the construction depth of the carrier, whose 2^depth
     # intervals are refused before they are built if they cannot fit; from
     # depth 64 on they never do, and the shift is capped there.
-    available = _available_bytes()
-    if available is not None and _CANTOR_INTERVAL_BYTES << min(depth, 64) > available:
-        raise MemoryError(
-            f"a Cantor carrier of depth {depth} holds 2^{depth} intervals and needs about "
-            f"{_CANTOR_INTERVAL_BYTES} x 2^{depth} bytes; {available} bytes are available"
-        )
+    _refuse_unless_fits(
+        _CANTOR_INTERVAL_BYTES << min(depth, 64),
+        f"a Cantor carrier of depth {depth} holds 2^{depth} intervals and needs about "
+        f"{_CANTOR_INTERVAL_BYTES} x 2^{depth} bytes",
+    )
     carrier = line.cantor_level_set(length, depth)
     return line.line_points_magnitude(line.finite_approx_points(carrier, 2))
 
@@ -155,9 +169,8 @@ def _circle_closed(circumference, dim, n, tol, loaded):
 
 
 def _circle_finite(circumference, dim, n, tol, loaded):
-    from . import finite
-
-    return finite.circle_points_magnitude(circumference, n), 0.0
+    value = spheres.circle_points_magnitude(circumference, n)
+    return value, spheres.CIRCLE_POINTS_ROUNDING * value
 
 
 def _intrinsic_closed(R, dim, n, tol, loaded):

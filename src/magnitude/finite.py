@@ -18,7 +18,8 @@ import os
 import numpy as np
 
 from ._numeric import DEFAULT_TOL, Frozen, positive_finite
-from .errors import NonpositiveLength, NonpositiveScale, NotHomogeneous, SingularSystem
+from .errors import NonpositiveScale, NotHomogeneous, SingularSystem
+from .spheres import _circle_step
 
 #: Rows per block of the triangle check; a block works in arrays of
 #: _TRIANGLE_BLOCK x n doubles.
@@ -309,36 +310,14 @@ def magnitude_homogeneous_finite(X: FiniteMetricSpace, tol: float = DEFAULT_TOL)
     return X.n / float(sums[0])
 
 
-def _circle_distance_row(circumference: float, n: int) -> np.ndarray:
-    """Arc-length distances from point 0 to points 0..n-1 of an n-point circle grid."""
-    positive_finite(circumference, "circumference", NonpositiveLength)
-    if n < 1:
-        raise ValueError(f"need at least one point, got {n}")
-    step = circumference / n
-    if n > 1 and step == 0.0:
-        raise ValueError(f"point spacing {circumference}/{n} underflows to zero")
-    idx = np.arange(n)
-    return np.minimum(idx, n - idx) * step
-
-
 def circle_points(circumference: float, n: int) -> FiniteMetricSpace:
-    """n evenly spaced points on a circle, with arc-length distances."""
-    row = _circle_distance_row(circumference, n)
+    """n evenly spaced points on a circle, with arc-length distances: the dense
+    reference of spheres.circle_points_magnitude, with the same distances."""
+    step = _circle_step(circumference, n)
     idx = np.arange(n)
+    row = np.minimum(idx, n - idx) * step
     # d[i, j] depends only on |i - j|, and row[k] = row[n - k].
     return FiniteMetricSpace(row[np.abs(idx[:, None] - idx[None, :])], check_triangle=False)
-
-
-def circle_points_magnitude(circumference: float, n: int) -> float:
-    """Magnitude of circle_points(circumference, n) in O(n) time and memory.
-
-    The grid is homogeneous, so its magnitude is n over one similarity row
-    sum.  The row is computed with the same float operations as row 0 of
-    circle_points, so the value equals
-    magnitude_homogeneous_finite(circle_points(circumference, n)) exactly.
-    """
-    row = _circle_distance_row(circumference, n)
-    return n / float(np.exp(-row).sum())
 
 
 def _data_lines(lines):

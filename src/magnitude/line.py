@@ -11,14 +11,20 @@ mass tanh((b-a)/2)/2 at the new endpoints), and the middle-thirds sets
 obtained by iterating the removal.  Finite subsets of the line need no
 weight equation either: line_points_magnitude sums tanh over their gaps.
 
-numpy (and the finite module) are imported only inside the functions that
-build arrays, so the closed forms and the measure arithmetic need only the
-standard library.
+The closed forms, the measure arithmetic and finite subsets of the line
+need only the standard library: finite_approx_points places its grid as
+np.linspace would, bit for bit, and line_points_magnitude sums libm's tanh
+with math.fsum, both on Python floats in O(N).  numpy (and the finite
+module) are imported only inside carrier_probe_points and
+finite_approx_line, the dense reference of line_points_magnitude.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import operator
 from typing import TYPE_CHECKING
 
 from ._numeric import Frozen, at_least, positive_finite, tanh_minus_x, tanh_over_x
@@ -31,7 +37,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .finite import FiniteMetricSpace
 
 #: Points of a finite approximation closer than this are merged.
 MERGE_TOL = 1e-12
@@ -302,35 +308,52 @@ def cantor_level_measure(length: float, depth: int) -> tuple[LineSubset, LineWei
     return space, measure
 
 
-def finite_approx_points(space: LineSubset, n_grid: int) -> np.ndarray:
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) for num >= 2, bit for bit, as a list.
+
+    Point i is i * step + start, with step = (stop - start) / (num - 1);
+    where step underflows to 0, it is (i / (num - 1)) * (stop - start) +
+    start.  The last point is stop.
+    """
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + start for i in range(div)]
+    else:
+        points = [i * step + start for i in range(div)]
+    points.append(stop)
+    return points
+
+
+def finite_approx_points(space: LineSubset, n_grid: int) -> list[float]:
     """Sorted points of the finite approximation: carrier endpoints plus a grid.
 
-    The grid has n_grid points spaced uniformly across the carrier hull;
-    points outside the carrier are dropped.  Sweeping left to right, a point
-    within MERGE_TOL of the last point kept is merged into it.
+    The grid has n_grid points spaced uniformly across the carrier hull, as
+    np.linspace spaces them; points outside the carrier are dropped.
+    Sweeping left to right, a point within MERGE_TOL of the last point kept
+    is merged into it.  The points are Python floats in lists, about 41
+    bytes each at the peak.
     """
-    import numpy as np
-
     n_grid = int(n_grid)
     if n_grid < 2:
         raise TooFewPoints(f"need at least 2 grid points, got {n_grid}")
-    ivs = np.array(space.intervals)
-    starts, ends = ivs[:, 0], ivs[:, 1]
-    grid = np.linspace(starts[0], ends[-1], n_grid)
+    intervals = space.intervals
+    starts = [a for a, _ in intervals]
+    ends = [b for _, b in intervals]
     # The only carrier interval that can hold x is the last one starting at or
-    # before x, because the intervals are disjoint and sorted.
-    host = np.searchsorted(starts, grid, side="right") - 1
-    inside = (host >= 0) & (grid <= ends[np.maximum(host, 0)])
-    pts = np.sort(np.concatenate([starts, ends[ends != starts], grid[inside]]))
-    keep = np.ones(pts.size, dtype=bool)
-    # A point farther than MERGE_TOL from its left neighbour is always kept;
-    # only the rare close pairs need the left-to-right pass.
-    last = -1
-    for i in (np.flatnonzero(np.diff(pts) <= MERGE_TOL) + 1).tolist():
-        if keep[i - 1]:
-            last = i - 1
-        keep[i] = pts[i] - pts[last] > MERGE_TOL
-    return pts[keep]
+    # before x, because the intervals are disjoint and sorted.  No grid point
+    # lies left of starts[0], so that interval always exists.
+    pts = [x for x in _linspace(starts[0], ends[-1], n_grid)
+           if x <= ends[bisect.bisect_right(starts, x) - 1]]
+    pts += starts
+    pts += (b for a, b in intervals if b != a)
+    pts.sort()
+    kept = pts[:1]
+    for x in itertools.islice(pts, 1, None):
+        if x - kept[-1] > MERGE_TOL:
+            kept.append(x)
+    return kept
 
 
 def finite_approx_line(space: LineSubset, n_grid: int) -> FiniteMetricSpace:
@@ -339,14 +362,14 @@ def finite_approx_line(space: LineSubset, n_grid: int) -> FiniteMetricSpace:
 
     from .finite import FiniteMetricSpace
 
-    xs = finite_approx_points(space, n_grid)
+    xs = np.array(finite_approx_points(space, n_grid))
     d = np.abs(xs[:, None] - xs[None, :])
     # |x - y| on a sorted grid is metric by construction.
     return FiniteMetricSpace(d, check_triangle=False)
 
 
 #: Relative rounding bound of line_points_magnitude, derived in its docstring.
-_LINE_SUM_ROUNDING = 11.0 * 2.0**-53
+_LINE_SUM_ROUNDING = 7.0 * 2.0**-53
 
 
 def line_points_magnitude(xs) -> tuple[float, float]:
@@ -354,30 +377,35 @@ def line_points_magnitude(xs) -> tuple[float, float]:
 
     For sorted points x_1 < ... < x_N the magnitude is
     1 + sum_i tanh((x_{i+1} - x_i) / 2) (Leinster, "The magnitude of metric
-    spaces", Doc. Math. 2013), computed here in O(N) time and memory.
+    spaces", Doc. Math. 2013), computed here in O(N) time, with no storage
+    beyond the points.
 
     The error estimate bounds |computed - exact| for the given doubles; it
     is not the gap to any continuum the points approximate.  With
     u = 2^-53, each gap is rounded once, g(1 + d) with |d| <= u, and since
     |d ln tanh(z) / d ln z| = 2z / sinh(2z) <= 1, tanh(g(1 + d)/2) is within
-    a factor exp(u / (1 - u)) of tanh(g/2).  numpy's tanh is allowed 4 ulps
-    (relative 8u; it measures under 1.4u against mpmath), so each term t_i
-    is within 9.01u t_i.  math.fsum rounds 1 + sum t_i once, within
-    u |result|.  As sum t_i <= (1 + u) |result|, the total is at most
-    10.1u |result|, and 11u |result| is returned.  Halving a subnormal gap
-    loses at most 2^-1075 per term, far below u |result| >= u.
+    a factor exp(u / (1 - u)) of tanh(g/2).  glibc documents its tanh
+    (math.tanh) within 2 ulps, relative 4u (it measures up to 1.92 ulps
+    against mpmath), so each term t_i is within 5.01u t_i.  math.fsum
+    rounds 1 + sum t_i once, within u |result|.  As
+    sum t_i <= (1 + u) |result|, the total is at most 6.1u |result|, and
+    7u |result| is returned.  Halving a subnormal gap loses at most
+    2^-1075 per term, far below u |result| >= u.
     """
-    import numpy as np
-
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or xs.size == 0:
+    if getattr(xs, "ndim", 1) != 1:
         raise ValueError(f"need a nonempty 1-d array of points, got shape {xs.shape}")
-    if not np.all(np.isfinite(xs)):
+    try:
+        xs = list(map(float, xs))
+    except TypeError as exc:
+        raise ValueError(f"need a nonempty 1-d array of points: {exc}") from None
+    if not xs:
+        raise ValueError("need a nonempty 1-d array of points, got shape (0,)")
+    if not all(map(math.isfinite, xs)):
         raise ValueError("points must be finite")
-    gaps = np.diff(xs)
-    if np.any(gaps <= 0.0):
+    if not all(map(operator.lt, xs, itertools.islice(xs, 1, None))):
         raise ValueError("points must be strictly increasing")
-    terms = np.tanh(0.5 * gaps).tolist()
-    terms.append(1.0)
-    magnitude = math.fsum(terms)
+    # Iterators, not lists: the sum holds no storage beyond the points.
+    gaps = map(operator.sub, itertools.islice(xs, 1, None), xs)
+    terms = map(math.tanh, map(operator.mul, itertools.repeat(0.5), gaps))
+    magnitude = math.fsum(itertools.chain((1.0,), terms))
     return magnitude, _LINE_SUM_ROUNDING * magnitude

@@ -21,7 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._numeric import Frozen, at_least, positive_finite
+# The settings live in the numpy-free _numeric module; they are re-exported
+# here, as the same objects, beside the quadrature they configure.
+from ._numeric import DEFAULT_CONFIG, Frozen, QuadratureConfig, at_least, positive_finite
 from .errors import NoConvergence
 # The chord-metric closed form lives in the numpy-free spheres module; it is
 # re-exported here, as the same object, beside the quadrature it checks.
@@ -31,23 +33,6 @@ from .spheres import _scaled_sigma, subspace_sphere2_closed
 _SPLIT_RATE = 50.0
 #: The split point is min(b, _SPLIT_SCALE / R).
 _SPLIT_SCALE = 30.0
-
-
-class QuadratureConfig(Frozen):
-    """Tolerance of smooth 1-D integrals: only rel_tol varies per call; the
-    panel order, bisection limit and absolute floor are class constants."""
-
-    __slots__ = ("rel_tol",)
-    abs_tol = 1e-300
-    panel_order = 15
-    max_refinements = 20
-
-    def __init__(self, rel_tol: float = 1e-12):
-        # An infinite rel_tol would accept every integral at its first level.
-        object.__setattr__(self, "rel_tol", positive_finite(rel_tol, "rel_tol"))
-
-
-DEFAULT_CONFIG = QuadratureConfig()
 
 
 class IntegralResult(Frozen):

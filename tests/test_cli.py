@@ -193,6 +193,40 @@ class TestAsymptoticsCommand:
         assert float(by_power["-2"]["extracted"]) == pytest.approx(1.5, rel=0.02)
         assert float(by_power["-2"]["predicted"]) == 1.5
 
+    # Exit codes and error classes as the numpy extraction gave them, which
+    # raised nothing where a power over- or underflowed: the fit on Python
+    # floats turns OverflowError back into ValueError, and a zero divisor
+    # into NonFiniteResult.
+    @pytest.mark.parametrize("metric, dim, orders, tmin, code, error", [
+        ("intrinsic", 2, 3, "1e-200", 2, "ValueError"),
+        ("intrinsic", 5, 3, "1e-200", 2, "ValueError"),
+        ("intrinsic", 2, 1, "1e150", 0, None),
+        ("intrinsic", 2, 3, "1e150", 3, "IllConditionedFit"),
+        ("intrinsic", 3, 3, "1e150", 3, "NonFiniteResult"),
+        ("intrinsic", 40, 3, "1e150", 3, "NonFiniteResult"),
+        ("intrinsic", 2, 3, "1e300", 3, "NonFiniteResult"),
+        ("intrinsic", 5, 1, "1e300", 3, "NonFiniteResult"),
+        ("subspace", 2, 2, "1e-200", 2, "ValueError"),
+        ("subspace", 5, 2, "1e-200", 2, "ValueError"),
+        ("subspace", 1, 1, "1e150", 0, None),
+        ("subspace", 2, 1, "1e150", 0, None),
+        ("subspace", 2, 2, "1e150", 3, "IllConditionedFit"),
+        ("subspace", 3, 2, "1e150", 3, "NonFiniteResult"),
+        ("subspace", 2, 2, "1e300", 3, "NonFiniteResult"),
+        ("subspace", 40, 2, "1e300", 3, "NonFiniteResult"),
+    ])
+    @pytest.mark.parametrize("doublings", [3, 12])
+    def test_extreme_grids_keep_their_exit_codes(self, capsys, metric, dim, orders, tmin, code,
+                                                 error, doublings):
+        tmax = repr(float(tmin) * 2.0**doublings)
+        got, out, err = run_cli(capsys, "asymptotics", "--metric", metric, "--dim", str(dim),
+                                "--orders", str(orders), "--tmin", tmin, "--tmax", tmax)
+        assert got == code
+        assert (err.split(":")[0] if err else None) == error
+        if code == 0:
+            assert all(math.isfinite(float(field)) for row in out.splitlines()[1:]
+                       for field in row.split(","))
+
     def test_grid_too_small(self, capsys):
         code, _, err = run_cli(
             capsys, "asymptotics", "--dim", "2", "--metric", "intrinsic",
@@ -694,6 +728,10 @@ class TestClosedFormsWithoutNumpy:
                 heavy = {"dataclasses", "inspect", "fractions", "decimal", "csv"}
                 return sorted(heavy & (set(sys.modules) - bare))
 
+            def run_quietly(argv):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    return run(argv)
+
             import magnitude
             magnitude.spheres, magnitude.sphere_magnitude_closed
             print(array_modules())
@@ -709,20 +747,45 @@ class TestClosedFormsWithoutNumpy:
                 ["tube-check", "--dim", "3", "--radius", "2", "--epsilon", "0.1"],
             ]
             for argv in calls:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = run(argv)
-                print(code, array_modules())
+                print(run_quietly(argv), array_modules())
             # A closed-form call imports argparse and the package, not
             # dataclasses (with inspect), fractions (with decimal) or csv.
             # Modules that a bare interpreter already holds (a site hook may
             # load any) are not counted.
             print(heavy_modules())
+            # Finite grids on the line and the circle, and the intrinsic
+            # asymptotics (which writes CSV), run on the standard library too.
+            calls = [
+                ["interval", "--length", "2", "--approx", "300"],
+                ["circle", "--circumference", "5", "--points", "300"],
+                ["asymptotics", "--dim", "3", "--orders", "3", "--tmin", "10", "--tmax", "80"],
+            ]
+            for argv in calls:
+                print(run_quietly(argv), array_modules())
             from magnitude import FiniteMetricSpace
             print(FiniteMetricSpace([[0.0, 1.0], [1.0, 0.0]]).n, "numpy" in sys.modules)
         """)
         proc = run_python(["-c", code], tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]"] + ["0 []"] * 7 + ["[]", "2 True"]
+        assert proc.stdout.splitlines() == ["[]"] + ["0 []"] * 7 + ["[]"] + ["0 []"] * 3 + ["2 True"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sphere", "--dim", "3", "--radius", "2", "--method", "quadrature"],
+        ["asymptotics", "--dim", "3", "--metric", "subspace", "--orders", "2",
+         "--tmin", "20", "--tmax", "80"],
+    ], ids=["sphere-quadrature", "asymptotics-subspace"])
+    def test_quadrature_routes_load_numpy(self, tmp_path, argv):
+        code = textwrap.dedent(f"""
+            import contextlib, io, sys
+            from magnitude.cli import run
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = run({argv!r})
+            print(code, "numpy" in sys.modules, "magnitude.quadrature" in sys.modules)
+        """)
+        proc = run_python(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["0 True True"]
 
 
 class TestInputDomain:
@@ -821,6 +884,70 @@ class TestInputDomain:
         spec.write_text("space=cantor\nmethod=finite-6\nstart=1\nstop=3\npoints=3\n")
         code, _, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(tmp_path / "o.csv"))
         assert code == 0, err
+
+    @pytest.mark.parametrize("via", ["interval", "sweep"])
+    @pytest.mark.parametrize("n, budget", [(10**12, 8 << 30), (10**400, 8 << 30), (1000, 48 * 1000 - 1)],
+                             ids=["1e12", "1e400", "one-byte-short"])
+    def test_line_grid_that_cannot_fit_exits_two_before_building(self, capsys, tmp_path,
+                                                                 monkeypatch, via, n, budget):
+        from magnitude import cli, line
+
+        def never(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(cli, "_available_bytes", lambda: budget)
+        monkeypatch.setattr(line, "finite_approx_points", never)
+        out = tmp_path / "out.csv"
+        if via == "interval":
+            argv = ["interval", "--length", "2", "--approx", str(n)]
+        else:
+            spec = tmp_path / "sweep.spec"
+            spec.write_text(f"space=interval\nmethod=finite-{n}\nstart=1\nstop=3\npoints=3\n")
+            argv = ["sweep", "--spec", str(spec), "--out", str(out)]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert err == (f"MemoryError: a line grid of {n} points needs about 48 x {n} bytes; "
+                       f"{budget} bytes are available\n")
+        assert not out.exists()
+
+    def test_line_grid_that_fits_is_built(self, capsys, monkeypatch):
+        from magnitude import cli
+
+        monkeypatch.setattr(cli, "_available_bytes", lambda: 48 * 1000)
+        code, out, err = run_cli(capsys, "interval", "--length", "2", "--approx", "1000")
+        assert code == 0, err
+        assert float(out) == pytest.approx(1.0 + 999 * math.tanh(1.0 / 999), rel=1e-14)
+
+    def test_line_grid_budget_is_checked_after_the_length(self, capsys, monkeypatch):
+        from magnitude import cli
+
+        monkeypatch.setattr(cli, "_available_bytes", lambda: 0)
+        code, _, err = run_cli(capsys, "interval", "--length", "-1", "--approx", "10")
+        assert code == 2
+        assert err.startswith("NonpositiveLength: ")
+
+    @pytest.mark.parametrize("space", ["interval", "cantor"])
+    def test_budgets_cover_the_measured_peak(self, space):
+        # 48 B per point of a line grid and 240 B per interval of a Cantor
+        # carrier cover what tracemalloc reads for the build and the sum.
+        import tracemalloc
+
+        from magnitude import cli, line
+
+        tracemalloc.start()
+        try:
+            if space == "interval":
+                need = cli._LINE_POINT_BYTES * 20000
+                carrier, n_grid = line.interval_weight_measure(2.0)[0], 20000
+            else:
+                need = cli._CANTOR_INTERVAL_BYTES << 12
+                carrier, n_grid = line.cantor_level_set(1.0, 12), 2
+            line.line_points_magnitude(line.finite_approx_points(carrier, n_grid))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= need
 
     def test_available_bytes_reads_a_positive_count(self):
         from magnitude import cli

@@ -12,7 +12,10 @@ else is compared byte for byte.
 
 Regenerate, only for an intended change of output, with
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py [ID ...]
+
+which re-records the cases named (all cases when none is) and prints each
+value it changes as `id field[line, column]: old -> new`.
 """
 
 import contextlib
@@ -200,10 +203,49 @@ def test_golden(case, golden, tmp_path):
             assert_solved_fields_match(g.split(","), w.split(","), estimate_col=5)
 
 
+def changes(case_id: str, old: dict, new: dict):
+    """(where, old, new) for each value that new changes in old: one cell of
+    stdout or of the sweep CSV where the two have the same shape, else the
+    whole field."""
+    for field in sorted(set(old) | set(new)):
+        a, b = old.get(field), new.get(field)
+        if a == b:
+            continue
+        if isinstance(a, str) and isinstance(b, str):
+            rows_a = [line.split(",") for line in a.splitlines()]
+            rows_b = [line.split(",") for line in b.splitlines()]
+            if [len(r) for r in rows_a] == [len(r) for r in rows_b]:
+                header = rows_a[0] if field == "csv" else None
+                for i, (row_a, row_b) in enumerate(zip(rows_a, rows_b), start=1):
+                    for j, (x, y) in enumerate(zip(row_a, row_b)):
+                        if x != y:
+                            yield f"{case_id} {field}[{i}, {header[j] if header else j + 1}]", x, y
+                continue
+        yield f"{case_id} {field}", a, b
+
+
+def test_changes_names_each_changed_value():
+    old = {"code": 0, "csv": "a,b\r\n1,0\r\n2,0\r\n", "stdout": "", "stderr_head": None}
+    new = {"code": 0, "csv": "a,b\r\n1,0\r\n2,5e-16\r\n", "stdout": "x\n", "stderr_head": None}
+    assert list(changes("c", old, new)) == [("c csv[3, b]", "0", "5e-16"), ("c stdout", "", "x\n")]
+
+
 if __name__ == "__main__":
+    previous = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    chosen = set(sys.argv[1:]) or {case.id for case in CASES}
+    unknown = chosen - {case.id for case in CASES}
+    if unknown:
+        sys.exit(f"no such case: {', '.join(sorted(unknown))}")
     records = {}
     for case in CASES:
+        if case.id not in chosen:
+            records[case.id] = previous[case.id]
+            continue
         with tempfile.TemporaryDirectory() as tmp:
             records[case.id] = invoke(case, pathlib.Path(tmp))
+        for where, old, new in changes(case.id, previous.get(case.id, {}), records[case.id]):
+            print(f"{where}: {old!r} -> {new!r}")
+    for case_id in sorted(set(previous) - set(records)):
+        print(f"{case_id}: removed")
     GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} cases to {GOLDEN}", file=sys.stderr)

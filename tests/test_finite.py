@@ -9,17 +9,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import mpmath
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from magnitude import finite
 from magnitude._numeric import DEFAULT_TOL
+from magnitude.spheres import CIRCLE_POINTS_ROUNDING
 from magnitude import (
     FiniteMetricSpace,
     NonpositiveLength,
     NonpositiveScale,
     NotHomogeneous,
     SingularSystem,
+    circle_magnitude_closed,
     circle_points,
     circle_points_magnitude,
     magnitude_finite,
@@ -387,6 +390,23 @@ class TestScale:
         m = magnitude_finite(scale(X, t))
         assert abs(m - 12.0) < 1e-9
 
+    @settings(max_examples=60, deadline=None)
+    @given(points=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+                           min_size=2, max_size=6))
+    def test_scaled_magnitude_runs_from_one_to_the_point_count(self, points):
+        # |tX| -> 1 as t -> 0 and -> n as t -> infinity, for n points of the plane.
+        x = np.array(points)
+        n = len(points)
+        d = np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=2))
+        separation = d[~np.eye(n, dtype=bool)].min()
+        assume(separation > 1e-2)
+        X = FiniteMetricSpace(d)
+        diam = d.max()
+        for k in (2, 3, 4):
+            t = 10.0**-k / diam
+            assert abs(magnitude_finite(scale(X, t)) - 1.0) <= n * t * diam
+        assert magnitude_finite(scale(X, 40.0 / separation)) == pytest.approx(n, rel=1e-12)
+
 
 class TestHomogeneous:
     def test_equilateral_is_homogeneous(self):
@@ -431,12 +451,52 @@ class TestHomogeneous:
         assert prev_gap < 1e-3
 
 
+def circle_row_sum_50_digits(c, n):
+    """The similarity row sum of n points on a circle of circumference c, at 50 digits."""
+    with mpmath.workdps(50):
+        step = mpmath.mpf(c) / n
+        row = 1 + 2 * mpmath.fsum(mpmath.exp(-j * step) for j in range(1, (n + 1) // 2))
+        if n % 2 == 0:
+            row += mpmath.exp(-(n // 2) * step)
+        return row
+
+
 class TestCirclePointsMagnitude:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(c=st.floats(1e-3, 1e3), n=st.integers(1, 1500))
-    def test_equals_dense_row_sum_exactly(self, c, n):
+    @example(c=1e-3, n=1500)
+    @example(c=1e3, n=2)
+    @example(c=2.0 * math.pi, n=1)
+    def test_error_bound_holds_against_mpmath(self, c, n):
+        value = circle_points_magnitude(c, n)
+        bound = CIRCLE_POINTS_ROUNDING * value
+        with mpmath.workdps(50):
+            assert abs(mpmath.mpf(value) - n / circle_row_sum_50_digits(c, n)) <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(c=st.floats(1e-3, 1e3), n=st.integers(1, 1500))
+    def test_agrees_with_the_dense_row_sum(self, c, n):
+        value = circle_points_magnitude(c, n)
         dense = magnitude_homogeneous_finite(circle_points(c, n), tol=1e-8)
-        assert circle_points_magnitude(c, n) == dense
+        # The dense route divides n by numpy's sum of numpy's exp of the same
+        # distances: 2.01u from the distances (as in circle_points_magnitude),
+        # 8u for an exp allowed 4 ulps, (n - 1)u for any order of summing n
+        # nonnegative terms and u for the division, with u = 2^-53.
+        dense_rounding = (n + 11) * 2.0**-53 * dense
+        assert abs(value - dense) <= CIRCLE_POINTS_ROUNDING * value + dense_rounding
+
+    @settings(max_examples=40, deadline=None)
+    @given(c=st.floats(0.05, 300.0))
+    def test_approaches_the_closed_form_as_n_grows(self, c):
+        # The grid's row sum is the trapezoid rule for the closed form's
+        # integral of a convex function: from below, with relative gap about
+        # (c / n)^2 / 12.
+        closed = circle_magnitude_closed(c)
+        sizes = (16, 64, 256, 1024, 4096)
+        gaps = [(closed - circle_points_magnitude(c, n)) / closed for n in sizes]
+        assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
+        for n, gap in zip(sizes, gaps):
+            assert 0.0 < gap <= (c / n) ** 2 / 12.0 + 1e-14
 
     def test_memory_is_linear_in_n(self):
         n = 10**5

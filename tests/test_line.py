@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from magnitude import (
@@ -31,7 +31,7 @@ from magnitude import (
     remove_open_interval,
     weight_equation_residual,
 )
-from magnitude.line import MERGE_TOL
+from magnitude.line import MERGE_TOL, _linspace
 
 
 def max_residual(space, measure, per_interval=100):
@@ -374,9 +374,23 @@ class TestLinePoints:
         assert np.array_equal(finite_approx_points(space, n_grid),
                               scalar_loop_points(space, n_grid))
 
+    @settings(max_examples=300, deadline=None)
+    @given(start=st.one_of(st.floats(-1e10, 1e10), st.sampled_from([0.0, -0.0, 5e-324, -1e-320])),
+           span=st.one_of(st.floats(5e-324, 1e-305), st.floats(1e-305, 1e300)),
+           num=st.integers(2, 400))
+    @example(start=0.0, span=1e-322, num=300)
+    @example(start=-1e-320, span=1e-322, num=100)
+    def test_grid_is_numpy_linspace_bit_for_bit(self, start, span, num):
+        # Spans of a few subnormals make the step underflow to 0, numpy's
+        # other branch.
+        stop = start + span
+        assume(math.isfinite(stop) and stop > start)
+        want = np.linspace(start, stop, num).tolist()
+        assert [x.hex() for x in _linspace(start, stop, num)] == [x.hex() for x in want]
+
     def test_finite_approx_line_uses_the_points(self):
         space = cantor_level_set(2.0, 3)
-        xs = finite_approx_points(space, 50)
+        xs = np.array(finite_approx_points(space, 50))
         X = finite_approx_line(space, 50)
         assert np.array_equal(X.d, np.abs(xs[:, None] - xs[None, :]))
 
@@ -384,7 +398,7 @@ class TestLinePoints:
     @given(space=st.one_of(line_subsets(), cantor_sets()), n_grid=st.integers(2, 500))
     def test_matches_the_dense_solve(self, space, n_grid):
         xs = finite_approx_points(space, n_grid)
-        assume(xs.size <= 500)
+        assume(len(xs) <= 500)
         try:
             dense = magnitude_finite(finite_approx_line(space, n_grid))
         except SingularSystem:
@@ -435,3 +449,12 @@ class TestLinePoints:
     def test_rejects_bad_points(self, xs):
         with pytest.raises(ValueError):
             line_points_magnitude(xs)
+
+    @pytest.mark.parametrize("xs", [np.zeros((2, 2)), np.array([]), np.array([1.0, 0.0])],
+                             ids=["2-d", "empty", "decreasing"])
+    def test_rejects_bad_arrays(self, xs):
+        with pytest.raises(ValueError):
+            line_points_magnitude(xs)
+
+    def test_takes_an_array(self):
+        assert line_points_magnitude(np.array([0.0, 3.0])) == line_points_magnitude([0.0, 3.0])
