@@ -11,12 +11,14 @@ named on stderr.  All numbers are printed with 17 significant digits so
 doubles round-trip exactly.
 
 Only the routes that build arrays import numpy and the modules that need it
-(finite, quadrature), inside the functions that run them: dense solves,
-quadratures and sweep grids.  The closed forms, finite subsets of the line
-and circle grids (O(N) sums over Python floats) and the intrinsic-metric
-asymptotics need only the standard library.  A line grid or a Cantor
-carrier that cannot fit in the available memory is refused before it is
-built (MemoryError, exit 2).
+(finite, quadrature), inside the functions that run them: dense solves and
+quadratures, alone or as the rows of a finite-file or quadrature sweep.
+The closed forms, finite subsets of the line and circle grids (O(N) sums
+over Python floats), the intrinsic-metric asymptotics and the sweeps of
+all of these need only the standard library: a sweep's grid is a list of
+floats from _numeric.linspace or _numeric.geomspace.  A sweep, a line grid
+or a Cantor carrier that cannot fit in the available memory is refused
+before it is built (MemoryError, exit 2).
 """
 
 from __future__ import annotations
@@ -25,14 +27,18 @@ import argparse
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from . import line, spheres
-from ._numeric import DEFAULT_CONFIG, DEFAULT_TOL, Frozen, QuadratureConfig, positive_finite
+from ._numeric import (
+    DEFAULT_CONFIG,
+    DEFAULT_TOL,
+    Frozen,
+    QuadratureConfig,
+    geomspace,
+    linspace,
+    positive_finite,
+)
 from .errors import IllConditionedFit, MagnitudeError, NonFiniteResult
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Environment variable overriding the default tolerance of every subcommand.
 TOL_ENV_VAR = "MAGNITUDE_DEFAULT_TOL"
@@ -125,6 +131,13 @@ _LINE_POINT_BYTES = 48
 #: intervals are Python tuples and the endpoints Python floats (tracemalloc
 #: reads about 192 B each from depth 14 on).
 _CANTOR_INTERVAL_BYTES = 240
+
+
+#: Peak bytes per row of a sweep: its grid point, a Python float in a list,
+#: and its row, a tuple of six strings of which the three numbers are new
+#: (tracemalloc reads 225-340 B a row from 10^4 rows on, over the closed
+#: forms and circle grids; three 24-character numbers make about 370 B).
+_SWEEP_ROW_BYTES = 400
 
 
 def _available_bytes() -> int | None:
@@ -384,12 +397,16 @@ class SweepSpec(Frozen):
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "tol", tol)
 
-    def grid(self) -> np.ndarray:
-        import numpy as np
+    def grid(self) -> list[float]:
+        """The points swept, a list of floats from start to stop, both exact.
 
+        A linear grid is np.linspace's, bit for bit.  A geometric grid is
+        np.geomspace's formula on libm (see _numeric.geomspace), so an
+        interior point may differ from numpy's in its last bits.
+        """
         if self.scale == "linear":
-            return np.linspace(self.start, self.stop, self.points)
-        return np.geomspace(self.start, self.stop, self.points)
+            return linspace(self.start, self.stop, self.points)
+        return geomspace(self.start, self.stop, self.points)
 
 
 #: The spaces that take each key a sweep file may add to the required ones.
@@ -502,6 +519,10 @@ def _cmd_sweep(args) -> int:
     import csv
 
     spec = parse_sweep_spec(args.spec)
+    _refuse_unless_fits(
+        _SWEEP_ROW_BYTES * spec.points,
+        f"a sweep of {spec.points} points needs about {_SWEEP_ROW_BYTES} x {spec.points} bytes",
+    )
     kind, n = _method_kind(spec.method)
     evaluate = EVALUATORS[spec.space, kind]
     loaded = None
@@ -512,7 +533,6 @@ def _cmd_sweep(args) -> int:
     _solver_tol(spec.tol)  # reject a malformed MAGNITUDE_DEFAULT_TOL even if the method ignores it
     rows = []
     for value in spec.grid():
-        value = float(value)
         mag, err = _guarded(value, lambda: evaluate(value, spec.dim, n, spec.tol, loaded))
         rows.append((spec.space, spec.param_name, _fmt(value), spec.method, _fmt(mag), _fmt(err)))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:

@@ -12,11 +12,12 @@ obtained by iterating the removal.  Finite subsets of the line need no
 weight equation either: line_points_magnitude sums tanh over their gaps.
 
 The closed forms, the measure arithmetic and finite subsets of the line
-need only the standard library: finite_approx_points places its grid as
+need only the standard library: finite_approx_points and
+carrier_probe_points place their grids with _numeric.linspace, as
 np.linspace would, bit for bit, and line_points_magnitude sums libm's tanh
 with math.fsum, both on Python floats in O(N).  numpy (and the finite
-module) are imported only inside carrier_probe_points and
-finite_approx_line, the dense reference of line_points_magnitude.
+module) are imported only inside finite_approx_line, the dense reference of
+line_points_magnitude.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 import operator
 from typing import TYPE_CHECKING
 
-from ._numeric import Frozen, at_least, positive_finite, tanh_minus_x, tanh_over_x
+from ._numeric import Frozen, at_least, linspace, positive_finite, tanh_minus_x, tanh_over_x
 from .errors import (
     HypothesisViolated,
     NonpositiveLength,
@@ -214,8 +215,6 @@ def weight_equation_residual(
 
 def carrier_probe_points(space: LineSubset, per_interval: int = 100) -> list[float]:
     """Evenly spaced probe points on each carrier interval, endpoints included."""
-    import numpy as np
-
     if per_interval < 1:
         raise ValueError("need at least one probe point per interval")
     pts: list[float] = []
@@ -223,7 +222,7 @@ def carrier_probe_points(space: LineSubset, per_interval: int = 100) -> list[flo
         if a == b or per_interval == 1:
             pts.append(a)
         else:
-            pts.extend(np.linspace(a, b, per_interval).tolist())
+            pts.extend(linspace(a, b, per_interval))
     return pts
 
 
@@ -308,24 +307,6 @@ def cantor_level_measure(length: float, depth: int) -> tuple[LineSubset, LineWei
     return space, measure
 
 
-def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """np.linspace(start, stop, num) for num >= 2, bit for bit, as a list.
-
-    Point i is i * step + start, with step = (stop - start) / (num - 1);
-    where step underflows to 0, it is (i / (num - 1)) * (stop - start) +
-    start.  The last point is stop.
-    """
-    div = num - 1
-    delta = stop - start
-    step = delta / div
-    if step == 0.0:
-        points = [i / div * delta + start for i in range(div)]
-    else:
-        points = [i * step + start for i in range(div)]
-    points.append(stop)
-    return points
-
-
 def finite_approx_points(space: LineSubset, n_grid: int) -> list[float]:
     """Sorted points of the finite approximation: carrier endpoints plus a grid.
 
@@ -344,7 +325,7 @@ def finite_approx_points(space: LineSubset, n_grid: int) -> list[float]:
     # The only carrier interval that can hold x is the last one starting at or
     # before x, because the intervals are disjoint and sorted.  No grid point
     # lies left of starts[0], so that interval always exists.
-    pts = [x for x in _linspace(starts[0], ends[-1], n_grid)
+    pts = [x for x in linspace(starts[0], ends[-1], n_grid)
            if x <= ends[bisect.bisect_right(starts, x) - 1]]
     pts += starts
     pts += (b for a, b in intervals if b != a)

@@ -31,6 +31,21 @@ def run_python(args, cwd, **kwargs):
                           env=env, cwd=cwd, **kwargs)
 
 
+#: The (space, method kind) pairs whose evaluators build arrays; a sweep of
+#: any other pair runs on the standard library.
+ARRAY_PAIRS = {("finite-file", "closed"), ("sphere-intrinsic", "quadrature"),
+               ("sphere-subspace", "quadrature")}
+
+
+def sweep_spec_text(space, kind, scale):
+    """A 4-point sweep file from 1 to 10 of one (space, method kind) pair;
+    finite-file reads d.csv from the working directory."""
+    extra = {"finite-file": "matrix=d.csv\n", "sphere-intrinsic": "dim=3\n",
+             "sphere-subspace": "dim=2\n"}.get(space, "")
+    method = "finite-8" if kind == "finite" else kind
+    return f"space={space}\nmethod={method}\n{extra}start=1\nstop=10\npoints=4\nscale={scale}\n"
+
+
 class TestSingleValues:
     def test_interval_is_one_plus_half_length(self, capsys):
         for length in ("0.5", "1", "2", "10"):
@@ -528,7 +543,7 @@ class TestSweep:
         parsed = parse_sweep_spec(spec)
         assert parsed.space == "circle"
         assert parsed.param_name == "circumference"
-        assert parsed.grid().tolist() == pytest.approx([1.0, 10 ** (1 / 3), 10 ** (2 / 3), 10.0])
+        assert parsed.grid() == pytest.approx([1.0, 10 ** (1 / 3), 10 ** (2 / 3), 10.0])
 
 
 class TestExitCodes:
@@ -787,6 +802,40 @@ class TestClosedFormsWithoutNumpy:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["0 True True"]
 
+    def test_sweeps_of_the_standard_library_pairs_import_neither_numpy_nor_scipy(self, tmp_path):
+        pairs = sorted(set(EVALUATORS) - ARRAY_PAIRS)
+        assert len(pairs) == 8
+        argvs = []
+        for space, kind in pairs:
+            for scale in ("linear", "geometric"):
+                name = f"{space}-{kind}-{scale}.spec"
+                (tmp_path / name).write_text(sweep_spec_text(space, kind, scale))
+                argvs.append(["sweep", "--spec", name, "--out", "out.csv"])
+        code = textwrap.dedent(f"""
+            import sys
+            from magnitude.cli import run
+
+            for argv in {argvs!r}:
+                print(run(argv), sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+        """)
+        proc = run_python(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["0 []"] * 16
+
+    @pytest.mark.parametrize("pair", sorted(ARRAY_PAIRS), ids="-".join)
+    def test_sweeps_that_build_arrays_load_numpy(self, tmp_path, pair):
+        (tmp_path / "d.csv").write_text("0,1,1.5\n1,0,2\n1.5,2,0\n")
+        (tmp_path / "s.spec").write_text(sweep_spec_text(*pair, "geometric"))
+        code = textwrap.dedent("""
+            import sys
+            from magnitude.cli import run
+
+            print(run(["sweep", "--spec", "s.spec", "--out", "out.csv"]), "numpy" in sys.modules)
+        """)
+        proc = run_python(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["0 True"]
+
 
 class TestInputDomain:
     def test_circle_points_large_n(self, capsys):
@@ -949,6 +998,65 @@ class TestInputDomain:
             tracemalloc.stop()
         assert peak <= need
 
+    @pytest.mark.parametrize("scale", ["linear", "geometric"])
+    @pytest.mark.parametrize("points, budget", [(10**12, 8 << 30), (10**400, 8 << 30), (1000, 400 * 1000 - 1)],
+                             ids=["1e12", "1e400", "one-byte-short"])
+    def test_sweep_that_cannot_fit_exits_two_before_building(self, capsys, tmp_path, monkeypatch,
+                                                             scale, points, budget):
+        from magnitude import cli
+
+        def never(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(cli, "_available_bytes", lambda: budget)
+        monkeypatch.setattr(cli, "linspace", never)
+        monkeypatch.setattr(cli, "geomspace", never)
+        spec = tmp_path / "sweep.spec"
+        spec.write_text(f"space=interval\nmethod=closed\nstart=1\nstop=3\npoints={points}\nscale={scale}\n")
+        out = tmp_path / "out.csv"
+        code, stdout, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err == (f"MemoryError: a sweep of {points} points needs about 400 x {points} bytes; "
+                       f"{budget} bytes are available\n")
+        assert not out.exists()
+
+    def test_sweep_that_fits_is_built(self, capsys, tmp_path, monkeypatch):
+        from magnitude import cli
+
+        monkeypatch.setattr(cli, "_available_bytes", lambda: 400 * 1000)
+        spec = tmp_path / "sweep.spec"
+        spec.write_text("space=interval\nmethod=closed\nstart=1\nstop=3\npoints=1000\n")
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out))
+        assert code == 0, err
+        assert len(out.read_text().splitlines()) == 1001
+
+    @pytest.mark.parametrize("space", ["circle", "sphere-intrinsic"])
+    def test_sweep_row_budget_covers_the_measured_peak(self, capsys, tmp_path, space):
+        # 400 B a row covers what tracemalloc reads for the grid and the rows,
+        # numbers of 17 digits with exponents in all three columns.
+        import tracemalloc
+
+        from magnitude import cli
+
+        method = "finite-5" if space == "circle" else "closed\ndim=3"
+        spec = tmp_path / "sweep.spec"
+        out = str(tmp_path / "out.csv")
+        # The 3-point sweep runs first, so that first-use allocations are
+        # not counted in the 20000-point peak.
+        for points in (3, 20000):
+            spec.write_text(f"space={space}\nmethod={method}\nstart=1.234e-5\nstop=9.87e-3\n"
+                            f"points={points}\nscale=geometric\n")
+            tracemalloc.start()
+            try:
+                code = run(["sweep", "--spec", str(spec), "--out", out])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peak <= cli._SWEEP_ROW_BYTES * 20000
+
     def test_available_bytes_reads_a_positive_count(self):
         from magnitude import cli
 
@@ -1058,6 +1166,18 @@ class TestNoWarningLeaks:
         assert proc.stderr.startswith("ValueError: s.spec: ")
         assert proc.stderr.count("\n") == 1
         assert not (tmp_path / "o.csv").exists()
+
+    def test_geometric_sweep_to_the_double_maximum(self, tmp_path):
+        # numpy's grid computed 10 ** log10(stop) before pinning the last
+        # point, and warned that the power overflowed.
+        (tmp_path / "s.spec").write_text("space=cantor\nmethod=closed\nstart=1\n"
+                                         "stop=1.7976931348623157e308\npoints=3\nscale=geometric\n")
+        proc = run_python(["-m", "magnitude", "sweep", "--spec", "s.spec", "--out", "o.csv"],
+                          tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        rows = list(csv.reader((tmp_path / "o.csv").read_text().splitlines()))[1:]
+        assert [row[2] for row in rows][::2] == ["1", "1.7976931348623157e+308"]
+        assert len(rows) == 3
 
     def test_distances_near_the_double_maximum(self, tmp_path):
         # Pair sums in the triangle check overflow to inf, which is no violation.

@@ -54,7 +54,7 @@ class Case:
 CASES = [
     # Every (space, method) pair in its subcommand form.
     Case("interval", ("interval", "--length", "2")),
-    Case("interval-approx", ("interval", "--length", "2", "--approx", "512"), solve=True),
+    Case("interval-approx", ("interval", "--length", "2", "--approx", "512")),
     Case("cantor-series", ("cantor", "--length", "3", "--series", "--tol", "1e-12")),
     Case("cantor-series-default-tol", ("cantor", "--length", "1", "--series")),
     Case("circle", ("circle", "--circumference", "6.283185307179586")),
@@ -74,14 +74,12 @@ CASES = [
     Case("sweep-finite-file", spec="space=finite-file\nmatrix={tmp}/d3.csv\nmethod=closed\n"
          "start=0.5\nstop=4\npoints=4\nscale=geometric\n", solve=True),
     Case("sweep-interval-closed", spec="space=interval\nmethod=closed\nstart=0.5\nstop=10\npoints=5\n"),
-    Case("sweep-interval-finite", spec="space=interval\nmethod=finite-64\nstart=1\nstop=2\npoints=3\n",
-         solve=True),
+    Case("sweep-interval-finite", spec="space=interval\nmethod=finite-64\nstart=1\nstop=2\npoints=3\n"),
     Case("sweep-cantor-closed", spec="space=cantor\nmethod=closed\nstart=0.5\nstop=4\npoints=4\n"
          "tol=1e-12\n"),
     Case("sweep-cantor-closed-env-tol", spec="space=cantor\nmethod=closed\nstart=1\nstop=3\n"
          "points=3\n", env_tol="1e-6"),
-    Case("sweep-cantor-finite", spec="space=cantor\nmethod=finite-6\nstart=1\nstop=3\npoints=3\n",
-         solve=True),
+    Case("sweep-cantor-finite", spec="space=cantor\nmethod=finite-6\nstart=1\nstop=3\npoints=3\n"),
     Case("sweep-circle-closed", spec="space=circle\nmethod=closed\nstart=1\nstop=10\npoints=4\n"
          "scale=geometric\n"),
     Case("sweep-circle-finite", spec="space=circle\nmethod=finite-32\nstart=1\nstop=10\npoints=4\n"

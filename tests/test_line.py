@@ -31,7 +31,8 @@ from magnitude import (
     remove_open_interval,
     weight_equation_residual,
 )
-from magnitude.line import MERGE_TOL, _linspace
+from magnitude._numeric import linspace
+from magnitude.line import MERGE_TOL
 
 
 def max_residual(space, measure, per_interval=100):
@@ -386,7 +387,7 @@ class TestLinePoints:
         stop = start + span
         assume(math.isfinite(stop) and stop > start)
         want = np.linspace(start, stop, num).tolist()
-        assert [x.hex() for x in _linspace(start, stop, num)] == [x.hex() for x in want]
+        assert [x.hex() for x in linspace(start, stop, num)] == [x.hex() for x in want]
 
     def test_finite_approx_line_uses_the_points(self):
         space = cantor_level_set(2.0, 3)
