@@ -13,9 +13,8 @@ import numpy as np
 
 from magnitude import (
     FiniteMetricSpace,
-    circle_points,
+    circle_points_magnitude,
     magnitude_finite,
-    magnitude_homogeneous_finite,
     scale,
     weighting,
 )
@@ -46,8 +45,11 @@ def main():
     print(f"  magnitude = {wy.w.sum():.8f}")
 
     print("\nHomogeneous spaces need only one row sum: 100 points on a circle.")
-    C = circle_points(2 * np.pi, 100)
-    print(f"  n / (row sum)          = {magnitude_homogeneous_finite(C):.12f}")
+    n = 100
+    idx = np.arange(n)
+    arc = np.minimum(idx, n - idx) * (2 * np.pi / n)
+    C = FiniteMetricSpace(arc[np.abs(idx[:, None] - idx[None, :])])
+    print(f"  n / (row sum)          = {circle_points_magnitude(2 * np.pi, n):.12f}")
     print(f"  full weight solve      = {magnitude_finite(C):.12f}")
 
 

@@ -12,9 +12,9 @@ from magnitude import (
     cantor_magnitude_iterative,
     cantor_magnitude_series,
     carrier_probe_points,
-    finite_approx_line,
+    finite_approx_points,
     interval_weight_measure,
-    magnitude_finite,
+    line_points_magnitude,
     measure_total_mass,
     remove_open_interval,
     weight_equation_residual,
@@ -53,7 +53,7 @@ def main():
     space, _ = interval_weight_measure(2.0)
     print(f"  {'points':>7}  {'magnitude':>16}  {'gap to 2':>10}")
     for n in (8, 32, 128, 512):
-        m = magnitude_finite(finite_approx_line(space, n))
+        m, _ = line_points_magnitude(finite_approx_points(space, n))
         print(f"  {n:>7}  {m:>16.12f}  {2 - m:>10.2e}")
 
 

@@ -13,10 +13,10 @@ doubles round-trip exactly.
 Only the routes that build arrays import numpy and the modules that need it
 (finite, quadrature), inside the functions that run them: dense solves and
 quadratures, alone or as the rows of a finite-file or quadrature sweep.
-The closed forms, finite subsets of the line and circle grids (O(N) sums
-over Python floats), the intrinsic-metric asymptotics and the sweeps of
-all of these need only the standard library: a sweep's grid is a list of
-floats from _numeric.linspace or _numeric.geomspace.  A sweep, a line grid
+The closed forms (circle grids among them), finite subsets of the line
+(O(N) sums over Python floats), the intrinsic-metric asymptotics and the
+sweeps of all of these need only the standard library: a sweep's grid is a
+list of floats from _numeric.linspace or _numeric.geomspace.  A sweep, a line grid
 or a Cantor carrier that cannot fit in the available memory is refused
 before it is built (MemoryError, exit 2).
 """

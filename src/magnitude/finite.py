@@ -18,8 +18,7 @@ import os
 import numpy as np
 
 from ._numeric import DEFAULT_TOL, Frozen, positive_finite
-from .errors import NonpositiveScale, NotHomogeneous, SingularSystem
-from .spheres import _circle_step
+from .errors import NonpositiveLength, NonpositiveScale, NotHomogeneous, SingularSystem
 
 #: Rows per block of the triangle check; a block works in arrays of
 #: _TRIANGLE_BLOCK x n doubles.
@@ -312,8 +311,12 @@ def magnitude_homogeneous_finite(X: FiniteMetricSpace, tol: float = DEFAULT_TOL)
 
 def circle_points(circumference: float, n: int) -> FiniteMetricSpace:
     """n evenly spaced points on a circle, with arc-length distances: the dense
-    reference of spheres.circle_points_magnitude, with the same distances."""
-    step = _circle_step(circumference, n)
+    reference of spheres.circle_points_magnitude.  A spacing that underflows
+    to 0 is refused by the constructor, as zero distances between points."""
+    positive_finite(circumference, "circumference", NonpositiveLength)
+    if n < 1:
+        raise ValueError(f"need at least one point, got {n}")
+    step = circumference / n
     idx = np.arange(n)
     row = np.minimum(idx, n - idx) * step
     # d[i, j] depends only on |i - j|, and row[k] = row[n - k].

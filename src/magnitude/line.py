@@ -15,9 +15,11 @@ The closed forms, the measure arithmetic and finite subsets of the line
 need only the standard library: finite_approx_points and
 carrier_probe_points place their grids with _numeric.linspace, as
 np.linspace would, bit for bit, and line_points_magnitude sums libm's tanh
-with math.fsum, both on Python floats in O(N).  numpy (and the finite
-module) are imported only inside finite_approx_line, the dense reference of
-line_points_magnitude.
+with math.fsum, both on Python floats in O(N).  finite_approx_points keeps
+every distinct point, however close: the tanh sum needs no guard against
+near-twins, which only a dense solve finds singular.  numpy (and the finite
+module) are imported only inside finite_approx_line, that dense reference
+of line_points_magnitude.
 """
 
 from __future__ import annotations
@@ -39,10 +41,6 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .finite import FiniteMetricSpace
-
-#: Points of a finite approximation closer than this are merged.
-MERGE_TOL = 1e-12
-
 
 class LineSubset(Frozen):
     """Disjoint union of closed intervals [a_i, b_i], sorted left to right.
@@ -311,10 +309,11 @@ def finite_approx_points(space: LineSubset, n_grid: int) -> list[float]:
     """Sorted points of the finite approximation: carrier endpoints plus a grid.
 
     The grid has n_grid points spaced uniformly across the carrier hull, as
-    np.linspace spaces them; points outside the carrier are dropped.
-    Sweeping left to right, a point within MERGE_TOL of the last point kept
-    is merged into it.  The points are Python floats in lists, about 41
-    bytes each at the peak.
+    np.linspace spaces them; points outside the carrier are dropped, and so
+    are exact duplicates (a grid point on an endpoint).  A near-twin, such
+    as a grid point one ulp from an endpoint, is a point of the grid and is
+    kept; line_points_magnitude adds its tiny gap's term as any other.  The
+    points are Python floats in lists, about 41 bytes each at the peak.
     """
     n_grid = int(n_grid)
     if n_grid < 2:
@@ -332,13 +331,18 @@ def finite_approx_points(space: LineSubset, n_grid: int) -> list[float]:
     pts.sort()
     kept = pts[:1]
     for x in itertools.islice(pts, 1, None):
-        if x - kept[-1] > MERGE_TOL:
+        if x > kept[-1]:
             kept.append(x)
     return kept
 
 
 def finite_approx_line(space: LineSubset, n_grid: int) -> FiniteMetricSpace:
-    """Finite approximation on the points of finite_approx_points, distance |x - y|."""
+    """Finite approximation on the points of finite_approx_points, distance |x - y|.
+
+    A near-twin pair of points makes the similarity matrix nearly singular,
+    so a dense solve on it raises SingularSystem where the tanh sum of
+    line_points_magnitude has no difficulty.
+    """
     import numpy as np
 
     from .finite import FiniteMetricSpace

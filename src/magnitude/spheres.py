@@ -2,17 +2,16 @@
 
 The magnitude of the n-sphere of radius R with the geodesic metric has a
 closed form: a polynomial P in R divided by 1 +- e^{-pi R}.  This module
-holds that formula, the closed forms of the circle and of the 2-sphere with
-the chord metric, the magnitude of an evenly spaced grid on the circle in
-O(n), the polynomial itself with exactly expanded coefficients,
-the intrinsic volumes of round spheres, scalar curvature, and the
-tube-volume and geodesic-sphere identities used to validate them.  It needs
-only the standard library, so a closed-form call never imports numpy.
+holds that formula, the closed forms of the circle, of an evenly spaced
+grid on the circle and of the 2-sphere with the chord metric, the
+polynomial itself with exactly expanded coefficients, the intrinsic volumes
+of round spheres, scalar curvature, and the tube-volume and geodesic-sphere
+identities used to validate them.  It needs only the standard library, so
+a closed-form call never imports numpy.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -21,6 +20,7 @@ from ._numeric import (
     at_least,
     half_x2_over_one_minus_one_plus_x_exp_neg,
     positive_finite,
+    tanh_over_x,
     x_over_one_minus_exp_neg,
 )
 from .errors import EpsilonTooLarge, IndexOutOfRange, NonpositiveLength
@@ -105,53 +105,55 @@ def circle_magnitude_closed(circumference: float) -> float:
     return x_over_one_minus_exp_neg(0.5 * circumference)
 
 
-def _circle_step(circumference: float, n: int) -> float:
-    """Arc length circumference / n between neighbours of an n-point circle grid,
-    after checking the grid: a positive finite circumference, at least one
-    point, and a spacing that does not underflow to zero."""
-    positive_finite(circumference, "circumference", NonpositiveLength)
-    if n < 1:
-        raise ValueError(f"need at least one point, got {n}")
-    step = circumference / n
-    if n > 1 and step == 0.0:
-        raise ValueError(f"point spacing {circumference}/{n} underflows to zero")
-    return step
-
-
 #: Relative rounding bound of circle_points_magnitude, derived in its docstring.
-CIRCLE_POINTS_ROUNDING = 7.0 * 2.0**-53
+CIRCLE_POINTS_ROUNDING = 14.0 * 2.0**-53
 
 
 def circle_points_magnitude(circumference: float, n: int) -> float:
     """Magnitude of n evenly spaced points on a circle, arc-length metric, in
-    O(n) time and O(1) memory.
+    closed form.
 
     The grid is homogeneous, so its magnitude is n over one similarity row
-    sum S = sum_k exp(-d_k), with d_k = min(k, n - k) step and
-    step = circumference / n; the distances are those of row 0 of
-    finite.circle_points.  The terms at k and n - k are equal, so each is
-    computed once and doubled (exactly), and math.fsum adds them.
+    sum S = sum_k q^min(k, n - k), q = e^{-2h}, with h = c / (2n) for the
+    circumference c; the distances are those of row 0 of
+    finite.circle_points.  The row is a two-sided geometric series.  For
+    even n = 2m it is 1 + 2 (q - q^m) / (1 - q) + q^m
+    = (1 + q)(1 - q^m) / (1 - q) = coth(h) (1 - e^{-c/2}), so
+    n / S = (c/2) / (1 - e^{-c/2}) * tanh(h) / h: the circle's closed form
+    times tanh(h)/h.  For odd n = 2m + 1 it is
+    1 + 2 (q - q^{m+1}) / (1 - q) = coth(h) - e^{-c/2} / sinh(h), which is
+    the even row plus e^{-c/2} tanh(h/2); so with V the even formula's
+    value, n / S = V / (1 + e^{-c/2} tanh(c / (4n)) V / n).  A spacing that
+    underflows to 0 gives tanh(h)/h = 1 and magnitude 1, as it should.
 
     CIRCLE_POINTS_ROUNDING * value bounds |value - exact| for the given
-    circumference and n, with u = 2^-53.  step and j step round once each,
-    so d_k = D_k (1 + e) with |e| <= 2.01u against the exact distance D_k.
-    As |d exp(-x) / dx| = exp(-x), exp(-d_k) is within
-    2.01u D_k exp(-D_k) (1 + 1e-13) of exp(-D_k) (a term with D_k past 746
-    is 0 either way), and libm's exp (math.exp; glibc documents 1 ulp, and
-    it measures 0.504 ulps against mpmath) adds 2u exp(-D_k).  Under the
-    weights exp(-D_k) the mean of D_k is at most s / sinh(s) <= 1, with
-    s = circumference / n: that is the mean over the two-sided geometric
-    series, and dropping its terms past n / 2, or halving the one at n / 2
-    for even n, only lowers it.  So sum_k D_k exp(-D_k) <= S, and the
-    computed terms sum to within 4.02u S of S.  fsum rounds once (u) and
-    the division once (u): in all the value is within 6.1u of exact to first
-    order, and 7u |value| is returned.  A subnormal term loses at most
-    2^-1075, far below u S >= u.
+    circumference and n, with u = 2^-53 and glibc's documented accuracy:
+    exp and expm1 within 1 ulp (2u), tanh within 2 ulps (4u).  c/2 is
+    exact (a subnormal c loses under 2^-1075, which moves the value far
+    less than u), so the circle factor x / (1 - e^{-x}) is within 3u
+    (expm1 and the division; its series branch, three additions).  h rounds
+    once, or twice when n > 2^52 makes 2n inexact (a subnormal h leaves
+    tanh(h)/h = 1), and |d ln(tanh(h)/h) / d ln h| = 1 - 2h / sinh(2h) <= 1,
+    so tanh(h)/h is within 4u (tanh) + 1u (division) + 2u (h) = 7u, and
+    the even value V within 3u + 7u + 1u (product) = 11u.  For odd n, the
+    correction K = e^{-c/2} tanh(c/(4n)) V / n carries V's error and its
+    own factors' 10u (exp 2u, tanh and its argument 5u, three roundings),
+    plus 2u past n = 2^52; V / (1 + K) then weighs V's error by 1 / (1 + K)
+    and the factors' by w = K / (1 + K) = e^{-c/2} tanh(c/(4n)) / S, at
+    most max_y e^{-2y} tanh(y) < 0.18 (n = 1, y = c/4), and at most
+    1/(2en) for n >= 3.
+    The sum and the division add 2u.  So odd values are within
+    (1 - w) 11u + w 12u + 2u <= 13u, and even ones within 11u, to first
+    order; 14u |value| is returned.  No step overflows: the circle factor
+    is at most c/2 + 1, and tanh(h)/h at most 1.
     """
-    step = _circle_step(circumference, n)
-    doubled = (2.0 * math.exp(-j * step) for j in range(1, (n + 1) // 2))
-    middle = (math.exp(-(n // 2) * step),) if n % 2 == 0 else ()
-    return n / math.fsum(itertools.chain((1.0,), doubled, middle))
+    positive_finite(circumference, "circumference", NonpositiveLength)
+    if n < 1:
+        raise ValueError(f"need at least one point, got {n}")
+    value = x_over_one_minus_exp_neg(0.5 * circumference) * tanh_over_x(circumference / (2 * n))
+    if n % 2:
+        value /= 1.0 + math.exp(-0.5 * circumference) * math.tanh(circumference / (4 * n)) * value / n
+    return value
 
 
 def subspace_sphere2_closed(R: float) -> float:

@@ -519,12 +519,16 @@ class TestCirclePointsMagnitude:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="at least one point"):
             circle_points_magnitude(1.0, 0)
+        with pytest.raises(ValueError, match="at least one point"):
+            circle_points(1.0, 0)
 
     def test_rejects_spacing_that_underflows(self):
-        # the dense route would see zero distances between distinct points
-        with pytest.raises(ValueError, match="underflows"):
-            circle_points_magnitude(5e-324, 3)
+        # A spacing of 0 is a circle of one point in the closed form; the
+        # dense reference would hold zero distances between distinct points.
+        assert circle_points_magnitude(5e-324, 3) == 1.0
         assert circle_points_magnitude(5e-324, 1) == 1.0
+        with pytest.raises(ValueError, match="nonpositive distance"):
+            circle_points(5e-324, 3)
 
 
 class TestWorkingSet:

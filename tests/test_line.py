@@ -32,7 +32,6 @@ from magnitude import (
     weight_equation_residual,
 )
 from magnitude._numeric import linspace
-from magnitude.line import MERGE_TOL
 
 
 def max_residual(space, measure, per_interval=100):
@@ -323,16 +322,12 @@ def scalar_loop_points(space, n_grid):
     for x in np.linspace(lo, hi, n_grid):
         if space.contains(float(x)):
             pts.append(float(x))
-    pts.sort()
-    merged = [pts[0]]
-    for x in pts[1:]:
-        if x - merged[-1] > MERGE_TOL:
-            merged.append(x)
-    return np.array(merged)
+    return np.unique(pts)
 
 
-# Lengths and gaps mix ordinary sizes with sizes around MERGE_TOL, where the
-# merge rule decides which points survive.
+# Lengths and gaps mix ordinary sizes with sizes down to 1e-14, where grid
+# points fall within a few ulps of endpoints: those are kept, and only exact
+# duplicates are dropped.
 _sizes = st.one_of(
     st.floats(1e-3, 10.0),
     st.sampled_from([0.0, 3e-13, 5e-13, 1e-12, 1.5e-12, 2.5e-12, 1e-11]),
