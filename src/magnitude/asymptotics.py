@@ -307,22 +307,6 @@ _U = 2.0**-53
 FIT_ROUNDING = 16 * _U
 
 
-def closed_form_rounding(n: int) -> float:
-    """Bound on the relative rounding error of sphere_magnitude_closed(n, R), any R.
-
-    With u = 2^-53: the first factor, 2 / (1 + e^{-pi R}) for even n or
-    pi R / (1 - e^{-pi R}) for odd n, carries the roundings of pi and of
-    pi R (2u; the logarithmic derivative of either factor in pi R is at
-    most 1 in size), of exp or expm1 (2u, one ulp), and of the sum or
-    division (u): 5u.  Each of the n // 2 factors (R/j)^2 + 1 carries the
-    rounding of R/j twice through the square (2u), then the square (u), the
-    sum (u, relative to a sum of positive terms) and the product (u): 5u.
-    To first order the value is within 5 (n // 2 + 1) u; (5 (n // 2) + 6) u
-    also covers the second-order terms.
-    """
-    return (5 * (int(n) // 2) + 6) * _U
-
-
 def closed_form_tail(t: float) -> float:
     """Relative distance of sphere_magnitude_closed(n, t) from its numerator
     polynomial P_polynomial(n)(t), for every n: e^{-pi t}.

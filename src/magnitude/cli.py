@@ -19,6 +19,15 @@ sweeps of all of these need only the standard library: a sweep's grid is a
 list of floats from _numeric.linspace or _numeric.geomspace.  A sweep, a line grid
 or a Cantor carrier that cannot fit in the available memory is refused
 before it is built (MemoryError, exit 2).
+
+The `magnitude` command (main(), behind both `python -m magnitude` and the
+console script) runs OpenBLAS on one thread: unless the user set one of
+BLAS_THREAD_VARS, it sets OPENBLAS_NUM_THREADS=1 before anything imports
+numpy, so neither numpy's OpenBLAS nor the one behind scipy's LAPACK starts a
+worker pool.  The package's BLAS work (15-wide matvecs in the quadrature
+panels, LU up to n of about 1200) gains less from the pools than starting
+them costs; the triangle check, which is not BLAS, keeps its own threads.
+run() leaves the environment alone, so library callers and tests keep theirs.
 """
 
 from __future__ import annotations
@@ -42,6 +51,10 @@ from .errors import IllConditionedFit, MagnitudeError, NonFiniteResult
 
 #: Environment variable overriding the default tolerance of every subcommand.
 TOL_ENV_VAR = "MAGNITUDE_DEFAULT_TOL"
+
+#: The thread-count variables OpenBLAS reads when it loads; a user who sets
+#: any of them keeps OpenBLAS's own choice.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 CSV_HEADER = ("space", "param_name", "param_value", "method", "magnitude", "error_estimate")
 
@@ -187,7 +200,8 @@ def _circle_finite(circumference, dim, n, tol, loaded):
 
 
 def _intrinsic_closed(R, dim, n, tol, loaded):
-    return spheres.sphere_magnitude_closed(dim, R), 0.0
+    value = spheres.sphere_magnitude_closed(dim, R)
+    return value, spheres.sphere_closed_rounding(dim) * value
 
 
 def _intrinsic_quadrature(R, dim, n, tol, loaded):
@@ -322,7 +336,7 @@ def _cmd_asymptotics(args) -> int:
         raise ValueError(problem)
     samples = {}
     if args.metric == "intrinsic":
-        rounding = asymptotics.closed_form_rounding(n)
+        rounding = spheres.sphere_closed_rounding(n)
         relative_errors = [rounding + asymptotics.closed_form_tail(t) for t in grid]
         extracted = asymptotics.extract_parity_expansion(
             _sampler(lambda t: spheres.sphere_magnitude_closed(n, t), samples), n, grid
@@ -621,5 +635,14 @@ def run(argv) -> int:
         return getattr(exc, "exit_code", 2)
 
 
+def _pin_blas_threads(environ) -> None:
+    """OPENBLAS_NUM_THREADS=1 in environ unless it sets one of BLAS_THREAD_VARS."""
+    if not any(name in environ for name in BLAS_THREAD_VARS):
+        environ["OPENBLAS_NUM_THREADS"] = "1"
+
+
 def main() -> None:
+    # OpenBLAS reads its thread count once, when numpy or scipy's LAPACK
+    # loads it, so this comes before any route imports either.
+    _pin_blas_threads(os.environ)
     sys.exit(run(sys.argv[1:]))

@@ -6,7 +6,8 @@ holds that formula, the closed forms of the circle, of an evenly spaced
 grid on the circle and of the 2-sphere with the chord metric, the
 polynomial itself with exactly expanded coefficients, the intrinsic volumes
 of round spheres, scalar curvature, and the tube-volume and geodesic-sphere
-identities used to validate them.  It needs only the standard library, so
+identities used to validate them, with the rounding bounds of the sphere's
+and the circle grid's closed forms.  It needs only the standard library, so
 a closed-form call never imports numpy.
 """
 
@@ -95,6 +96,23 @@ def sphere_magnitude_closed(n: int, R: float) -> float:
     return value
 
 
+def sphere_closed_rounding(n: int) -> float:
+    """Bound on the relative rounding error of sphere_magnitude_closed(n, R), any R.
+
+    With u = 2^-53: the first factor, 2 / (1 + e^{-pi R}) for even n or
+    pi R / (1 - e^{-pi R}) for odd n, carries the roundings of pi and of
+    pi R (2u; the logarithmic derivative of either factor in pi R is at
+    most 1 in size), of exp or expm1 (2u, one ulp), and of the sum or
+    division (u): 5u.  Each of the n // 2 factors (R/j)^2 + 1 carries the
+    rounding of R/j twice through the square (2u), then the square (u), the
+    sum (u, relative to a sum of positive terms) and the product (u): 5u.
+    To first order the value is within 5 (n // 2 + 1) u; (5 (n // 2) + 6) u
+    also covers the second-order terms.  Times the value, it is the error
+    estimate of a closed sphere-intrinsic sweep row.
+    """
+    return (5 * (int(n) // 2) + 6) * 2.0**-53
+
+
 def circle_magnitude_closed(circumference: float) -> float:
     """Magnitude of the circle of a given circumference.
 
@@ -133,8 +151,10 @@ def circle_points_magnitude(circumference: float, n: int) -> float:
     less than u), so the circle factor x / (1 - e^{-x}) is within 3u
     (expm1 and the division; its series branch, three additions).  h rounds
     once, or twice when n > 2^52 makes 2n inexact (a subnormal h leaves
-    tanh(h)/h = 1), and |d ln(tanh(h)/h) / d ln h| = 1 - 2h / sinh(2h) <= 1,
-    so tanh(h)/h is within 4u (tanh) + 1u (division) + 2u (h) = 7u, and
+    tanh(h)/h = 1; where 2n is past the double range, h is the exact
+    quotient rounded once, and so are c / (4n) and the division by n), and
+    |d ln(tanh(h)/h) / d ln h| = 1 - 2h / sinh(2h) <= 1, so tanh(h)/h
+    is within 4u (tanh) + 1u (division) + 2u (h) = 7u, and
     the even value V within 3u + 7u + 1u (product) = 11u.  For odd n, the
     correction K = e^{-c/2} tanh(c/(4n)) V / n carries V's error and its
     own factors' 10u (exp 2u, tanh and its argument 5u, three roundings),
@@ -150,10 +170,21 @@ def circle_points_magnitude(circumference: float, n: int) -> float:
     positive_finite(circumference, "circumference", NonpositiveLength)
     if n < 1:
         raise ValueError(f"need at least one point, got {n}")
-    value = x_over_one_minus_exp_neg(0.5 * circumference) * tanh_over_x(circumference / (2 * n))
+    value = x_over_one_minus_exp_neg(0.5 * circumference) * tanh_over_x(_over(circumference, 2 * n))
     if n % 2:
-        value /= 1.0 + math.exp(-0.5 * circumference) * math.tanh(circumference / (4 * n)) * value / n
+        correction = math.exp(-0.5 * circumference) * math.tanh(_over(circumference, 4 * n)) * value
+        value /= 1.0 + _over(correction, n)
     return value
+
+
+def _over(x: float, n: int) -> float:
+    """x / n for an int n of any size.  Where n has no double (past about
+    1.8e308), the exact quotient of x's integer ratio by n, rounded once."""
+    try:
+        return x / n
+    except OverflowError:
+        p, q = x.as_integer_ratio()
+        return p / (q * n)
 
 
 def subspace_sphere2_closed(R: float) -> float:

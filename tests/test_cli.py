@@ -10,7 +10,7 @@ import textwrap
 
 import pytest
 
-from magnitude import errors
+from magnitude import cli, errors
 from magnitude.cli import CSV_HEADER, EVALUATORS, TOL_ENV_VAR, parse_sweep_spec, run
 
 
@@ -835,6 +835,84 @@ class TestClosedFormsWithoutNumpy:
         proc = run_python(["-c", code], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["0 True"]
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("name", cli.BLAS_THREAD_VARS)
+    def test_a_users_variable_is_left_alone(self, name):
+        environ = {name: "3", "PATH": "/bin"}
+        cli._pin_blas_threads(environ)
+        assert environ == {name: "3", "PATH": "/bin"}
+
+    def test_no_variable_gives_one_thread(self):
+        environ = {"PATH": "/bin"}
+        cli._pin_blas_threads(environ)
+        assert environ == {"PATH": "/bin", "OPENBLAS_NUM_THREADS": "1"}
+
+    def test_run_leaves_the_environment_alone(self, capsys, tmp_path):
+        (tmp_path / "d.csv").write_text("0,1\n1,0\n")
+        before = dict(os.environ)
+        code, _, _ = run_cli(capsys, "finite", "--matrix", str(tmp_path / "d.csv"))
+        assert code == 0
+        assert dict(os.environ) == before
+
+    def test_main_pins_before_numpy_loads(self, tmp_path):
+        # A numpy import ahead of the pin would leave OpenBLAS at its default.
+        code = textwrap.dedent("""
+            import runpy, sys
+            from magnitude import cli
+
+            seen = []
+            pin = cli._pin_blas_threads
+
+            def spy(environ):
+                seen.append("numpy" in sys.modules)
+                pin(environ)
+
+            cli._pin_blas_threads = spy
+            sys.argv = ["magnitude", "sphere", "--dim", "3", "--radius", "2", "--method", "quadrature"]
+            try:
+                runpy.run_module("magnitude", run_name="__main__", alter_sys=True)
+            finally:
+                print(seen, "numpy" in sys.modules)
+        """)
+        proc = run_python(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[False] True"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc/self/task")
+    @pytest.mark.parametrize("user_value", [None, "2"], ids=["unset", "user-value"])
+    def test_python_m_magnitude_threads(self, tmp_path, user_value):
+        # A sitecustomize hook reports, as the process exits, the variable and
+        # the threads of a `python -m magnitude` call that loads both numpy's
+        # OpenBLAS and the one behind scipy's LAPACK.
+        hook = tmp_path / "hook"
+        hook.mkdir()
+        (hook / "sitecustomize.py").write_text(textwrap.dedent("""
+            import atexit, os, sys
+
+            atexit.register(lambda: print(os.environ.get("OPENBLAS_NUM_THREADS"),
+                                          len(os.listdir("/proc/self/task")), file=sys.stderr))
+        """))
+        (tmp_path / "d.csv").write_text("0,1,1.5\n1,0,2\n1.5,2,0\n")
+        import magnitude
+
+        env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+        if user_value is not None:
+            env["OPENBLAS_NUM_THREADS"] = user_value
+        src_dir = str(pathlib.Path(magnitude.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join([str(hook), src_dir, env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-m", "magnitude", "finite", "--matrix", "d.csv"],
+                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        value, threads = proc.stderr.split()
+        if user_value is None:
+            assert (value, threads) == ("1", "1")
+        else:
+            assert value == user_value
+            # OpenBLAS caps its pools at the CPUs the process may use.
+            if len(os.sched_getaffinity(0)) >= 2:
+                assert int(threads) > 1
 
 
 class TestInputDomain:

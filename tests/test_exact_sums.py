@@ -14,7 +14,7 @@ import mpmath
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from magnitude import circle_points_magnitude
+from magnitude import circle_magnitude_closed, circle_points_magnitude
 from magnitude.cli import run
 from magnitude.line import _LINE_SUM_ROUNDING
 from magnitude.spheres import CIRCLE_POINTS_ROUNDING
@@ -110,10 +110,29 @@ class TestCircleGrids:
         value = circle_points_magnitude(20.0, 10**15)
         assert within(value, circle_points(20.0, 10**15), CIRCLE_POINTS_ROUNDING * value)
 
+    def test_points_past_the_double_range(self, capsys):
+        # 10^400 has no double; the grid's magnitude is the circle's to the last bit.
+        n = 10**400
+        value = cli_value(capsys, "circle", "--circumference", "1", "--points", str(n))
+        assert within(value, circle_points(1.0, n), CIRCLE_POINTS_ROUNDING * value)
+        assert value == circle_magnitude_closed(1.0)
+
+    def test_sweep_rows_past_the_double_range(self, capsys, tmp_path):
+        n = 10**400
+        rows = sweep_rows(capsys, tmp_path, f"space=circle\nmethod=finite-{n}\n"
+                          "start=1e-300\nstop=1.7e308\npoints=5\nscale=geometric\n")
+        assert len(rows) == 5
+        for row in rows:
+            value, bound = float(row["magnitude"]), float(row["error_estimate"])
+            assert bound > 0.0
+            assert within(value, circle_points(float(row["param_value"]), n), bound), row
+
     @settings(max_examples=300, deadline=None)
-    @given(c=st.one_of(st.floats(1e-8, 1e8), st.floats(5e-324, 1e300)),
-           n=st.one_of(st.integers(1, 60), st.integers(1, 10**12)))
+    @given(c=st.one_of(st.floats(1e-8, 1e8), st.floats(5e-324, 1.7e308)),
+           n=st.one_of(st.integers(1, 60), st.integers(1, 10**12), st.integers(1, 10**400)))
     @example(c=1e-8, n=10**12)
+    @example(c=1.7e308, n=10**308)  # 2n has no double, and h = c / (2n) is 0.85
+    @example(c=1.7e308, n=10**308 + 1)
     @example(c=1e8, n=10**12 - 1)
     @example(c=4 * 0.4, n=1)  # near the largest odd correction, e^(-2y) tanh(y) at y = 0.4
     @example(c=6.28, n=256)

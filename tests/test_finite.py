@@ -498,17 +498,6 @@ class TestCirclePointsMagnitude:
         for n, gap in zip(sizes, gaps):
             assert 0.0 < gap <= (c / n) ** 2 / 12.0 + 1e-14
 
-    def test_memory_is_linear_in_n(self):
-        n = 10**5
-        tracemalloc.start()
-        try:
-            value = circle_points_magnitude(5.0, n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert math.isfinite(value)
-        assert peak < 100 * n
-
     @pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_circumference(self, c):
         with pytest.raises(NonpositiveLength):

@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from magnitude import (
     EpsilonTooLarge,
@@ -23,7 +26,8 @@ from magnitude import (
     tsc_sphere,
     tube_volume_check,
 )
-from magnitude.spheres import _scaled_sigma
+from magnitude.cli import EVALUATORS
+from magnitude.spheres import _scaled_sigma, sphere_closed_rounding
 
 
 class TestBallSphereVolumes:
@@ -114,6 +118,33 @@ class TestClosedForm:
                 assert sphere_magnitude_closed(n, R) == pytest.approx(
                     sphere_magnitude_quadrature(n, R), rel=1e-9
                 )
+
+
+def sphere_closed_exact(n, R):
+    """The closed form at 50 digits, from the double R."""
+    with mpmath.workdps(50):
+        R = mpmath.mpf(R)
+        e = mpmath.exp(-mpmath.pi * R)
+        value = 2 / (1 + e) if n % 2 == 0 else mpmath.pi * R / (1 - e)
+        for j in range(1 if n % 2 == 0 else 2, n, 2):
+            value *= (R / j) ** 2 + 1
+        return value
+
+
+class TestClosedFormRounding:
+    @settings(max_examples=400, deadline=None)
+    @given(n=st.integers(1, 40), R=st.floats(1e-3, 1e3))
+    @example(n=1, R=1e-3)
+    @example(n=2, R=1e-3)
+    @example(n=39, R=1e3)
+    @example(n=40, R=1e3)
+    def test_within_its_bound_of_50_digits(self, n, R):
+        # The pair a closed sphere-intrinsic sweep row prints.
+        value, bound = EVALUATORS["sphere-intrinsic", "closed"](R, n, None, None, None)
+        assert value == sphere_magnitude_closed(n, R)
+        assert bound == sphere_closed_rounding(n) * value
+        with mpmath.workdps(50):
+            assert abs(mpmath.mpf(value) - sphere_closed_exact(n, R)) <= bound
 
 
 class TestPPolynomial:
