@@ -120,7 +120,8 @@ def _finite_file(t, dim, n, tol, loaded):
 
 def _interval_closed(length, dim, n, tol, loaded):
     _, measure = line.interval_weight_measure(length)
-    return line.measure_total_mass(measure), 0.0
+    value = line.measure_total_mass(measure)
+    return value, line.INTERVAL_ROUNDING * value
 
 
 def _interval_finite(length, dim, n, tol, loaded):
@@ -191,7 +192,8 @@ def _cantor_finite(length, dim, depth, tol, loaded):
 
 
 def _circle_closed(circumference, dim, n, tol, loaded):
-    return spheres.circle_magnitude_closed(circumference), 0.0
+    value = spheres.circle_magnitude_closed(circumference)
+    return value, spheres.CIRCLE_CLOSED_ROUNDING * value
 
 
 def _circle_finite(circumference, dim, n, tol, loaded):
@@ -216,7 +218,8 @@ def _subspace_closed(R, dim, n, tol, loaded):
             "closed form for the subspace metric exists only for --dim 2; "
             "use --method quadrature"
         )
-    return spheres.subspace_sphere2_closed(R), 0.0
+    value = spheres.subspace_sphere2_closed(R)
+    return value, spheres.SUBSPACE_SPHERE2_ROUNDING * value
 
 
 def _subspace_quadrature(R, dim, n, tol, loaded):

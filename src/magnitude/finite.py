@@ -14,6 +14,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -128,25 +129,28 @@ def _triangle_block(d, i0, slack):
     """First pair (i, k) of rows i0 .. i0 + _TRIANGLE_BLOCK - 1, k >= i0, in
     row-major order with d[i,k] > d[i,j] + d[j,k] + slack for some j, or None.
 
-    Over the columns k >= i0 it keeps shortest[i, k] = min over j of the
-    rounded sum d[i,j] + d[j,k], the sum the naive scan over j compares
-    against.  The j = i term is d[i,k] itself.  By symmetry the first
-    flagged pair has k > i, and the columns k < i0 repeat earlier blocks.
+    For each column k >= i0 it forms shortest[k - i0, i - i0] = min over j
+    of the rounded sum d[i,j] + d[k,j]: one contiguous add of row k to the
+    block's rows, then a min along each row.  By symmetry d[k,j] = d[j,k],
+    so these are the sums the naive scan over j compares against; the j = i
+    term is d[i,k] itself.  By symmetry too the first flagged pair has
+    k > i, and the columns k < i0 repeat earlier blocks.
     """
-    rows = d[i0:i0 + _TRIANGLE_BLOCK, i0:]
-    cols = np.ascontiguousarray(d[:, i0:i0 + _TRIANGLE_BLOCK])
-    shortest = rows.copy()
-    tmp = np.empty_like(shortest)
+    n = d.shape[0]
+    rows = d[i0:i0 + _TRIANGLE_BLOCK]
+    shortest = np.empty((n - i0, len(rows)))
+    tmp = np.empty_like(rows)
     # errstate is per thread, so it is set here and not by the caller.
     with np.errstate(over="ignore"):
-        for j in range(d.shape[0]):
-            np.add(cols[j][:, None], d[j, i0:], out=tmp)
-            np.minimum(shortest, tmp, out=shortest)
+        for k in range(i0, n):
+            np.add(rows, d[k], out=tmp)
+            np.minimum.reduce(tmp, axis=1, out=shortest[k - i0])
         shortest += slack
-    bad = rows > shortest
+    # bad[k - i0, i - i0] flags d[k,i], which is d[i,k].
+    bad = d[i0:, i0:i0 + len(rows)] > shortest
     if not bad.any():
         return None
-    a, c = divmod(int(bad.argmax()), bad.shape[1])
+    a, c = divmod(int(bad.T.argmax()), n - i0)
     return i0 + a, i0 + c
 
 
@@ -362,15 +366,133 @@ def _parse_row(path, lineno, line, out):
             ) from None
 
 
+#: Whether blocks of plain decimals are parsed by _plain_block, which divides
+#: in long double and reads the low bits of each quotient's significand: it
+#: needs x87 extended or IEEE binary128, stored little-endian, not IBM
+#: double-double nor a long double that is binary64.  Otherwise every line
+#: goes through _parse_row; both store the same bits.
+_EXACT_DECIMALS = np.finfo(np.longdouble).nmant in (63, 112) and sys.byteorder == "little"
+
+#: Characters per block of the reader: about 6 lines of a 1200-point
+#: distance file.
+_PARSE_BLOCK = 1 << 17
+
+#: Maps a plain block's newlines to commas for np.fromstring.
+_NEWLINES_TO_COMMAS = bytes.maketrans(b"\n", b",")
+
+#: 10**f for the f digits after the point that a plain token may have, each
+#: exact in a 64-bit significand (5**27 < 2**63).
+_POW10 = np.array([10**f for f in range(28)], dtype=np.longdouble)
+
+#: A token's digits, read as one integer, are exact below this.
+_MANTISSA_LIMIT = 10**18
+
+
+def _plain_layout(data: bytes, shape):
+    """(starts, ends, negative, f) of data, shape[0] lines of shape[1] plain
+    decimals each ending in a newline, or None when data is not that.
+
+    Token t is data[starts[t]:ends[t]]; negative flags the tokens that
+    start with "-", and f counts each token's digits after the point.
+    """
+    a = np.frombuffer(data, np.uint8)
+    if a.max() > ord("9"):
+        return None
+    # Every byte below "0" ends a token or is its sign or point.
+    marks = np.flatnonzero(a < ord("0"))
+    kinds = a[marks]
+    rows, width = shape
+    newlines, commas, signs, points = np.bincount(kinds, minlength=ord("0"))[list(b"\n,-.")]
+    if newlines + commas + signs + points != len(kinds) or newlines != rows or commas != rows * (width - 1):
+        return None
+    # seps[t] indexes the separator that ends token t in marks.
+    seps = np.flatnonzero(kinds <= ord(","))
+    if not np.all(kinds[seps[width - 1::width]] == ord("\n")):
+        return None  # a line of the wrong length
+    ends = marks[seps]
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    # A point is its token's last mark, and a sign its first, at its first
+    # byte; the counts rule out any other.  kinds[-1] is a newline.
+    pointed = kinds[seps - 1] == ord(".")
+    firsts = np.empty_like(seps)
+    firsts[0] = 0
+    firsts[1:] = seps[:-1] + 1
+    negative = (kinds[firsts] == ord("-")) & (marks[firsts] == starts)
+    if np.count_nonzero(pointed) != points or np.count_nonzero(negative) != signs:
+        return None
+    if np.any(ends - starts - pointed - negative < 1):
+        return None  # a token without digits
+    f = ends - marks[seps - 1] - 1
+    f[~pointed] = 0
+    return starts, ends, negative, f
+
+
+def _binary64_midpoints(x):
+    """Which entries of the long double array x, in the normal range of
+    doubles, lie halfway between two adjacent doubles: those whose last
+    nmant - 52 significand bits are 100...0, read from the low 64 bits of
+    each entry (little-endian)."""
+    extra = np.finfo(np.longdouble).nmant - 52
+    low = np.ndarray(len(x), np.uint64, x, strides=(x.itemsize,))
+    return (low & np.uint64((1 << extra) - 1)) == np.uint64(1 << (extra - 1))
+
+
+def _plain_block(lines, out) -> bool:
+    """Store in out what float() returns for each token of lines, or return
+    False when they are not plain decimals.
+
+    The lines hold out.shape[1] comma-separated tokens each.  They are
+    plain when every token is an optional "-", then digits with at most one
+    ".", and has at least one digit.  A token's digits, read as one integer
+    w with the point and sign dropped, are exact in int64 and in a 64-bit
+    significand when w < 10**18, and with f digits after the point 10**f is
+    exact for f <= 27.  So x = w / 10**f in long double is one rounding of
+    the token's value, and rounding x to a double gives float()'s value
+    unless x is a binary64 midpoint (the one just below a power of two
+    included), where the first rounding may have landed on the tie.  Those
+    tokens, and those with w >= 10**18 (strtoll saturates at 2**63 - 1) or
+    f > 27, are parsed by float() instead.
+    """
+    data = "\n".join([*lines, ""])
+    if not data.isascii():
+        return False
+    data = data.encode("ascii")
+    layout = _plain_layout(data, out.shape)
+    if layout is None:
+        return False
+    starts, ends, negative, f = layout
+    digits = data.translate(_NEWLINES_TO_COMMAS, b"-.")[:-1]
+    w = np.fromstring(digits, dtype=np.int64, sep=",")
+    # numpy 1.x returns a short array where numpy 2 raises; the checks above
+    # rule both out, and this one keeps it so.
+    if len(w) != out.size:
+        return False
+    x = w.astype(np.longdouble)
+    x /= _POW10[np.minimum(f, len(_POW10) - 1)]
+    values = x.astype(np.float64)
+    values[negative] *= -1.0
+    slow = _binary64_midpoints(x) | (w >= _MANTISSA_LIMIT) | (f >= len(_POW10))
+    for t in np.flatnonzero(slow).tolist():
+        values[t] = float(data[starts[t]:ends[t]])
+    out.reshape(-1)[:] = values
+    return True
+
+
 def _read_rows(path, square: bool) -> np.ndarray:
     """The data lines of a numeric CSV file as the rows of one float array.
 
     Blank lines are skipped.  A square file has as many columns as data
     lines; otherwise every row has as many entries as the first.  The file
-    is read twice, once to count its data lines and once to parse each line
-    into its row, so that the array and one line of text are all it holds.
-    Errors come in this order: the first token in the file that is not a
-    number, an empty file, then the first row of the wrong length.
+    is read twice, once to count its data lines and once to parse them, so
+    that the array and about _PARSE_BLOCK characters of text are all it
+    holds.
+    Rows of the right length are parsed a block at a time: a block of plain
+    decimals by one vectorised step (_plain_block), any other line by line
+    with float(), both to float()'s bits.  Errors come in this order: the
+    first token in the file that is not a number, an empty file, then the
+    first row of the wrong length.
     """
     with open(path, "r", encoding="utf-8") as fh:
         # A pipe cannot be read twice; its lines are kept as text instead.
@@ -384,20 +506,52 @@ def _read_rows(path, square: bool) -> np.ndarray:
         if lines is fh:
             fh.seek(0)
         ragged = None
-        for i, (lineno, line) in enumerate(_data_lines(lines)):
+        pending = []  # (line number, line) of the rows not yet parsed
+        chars = 0  # their length
+        done = 0  # rows of table parsed
+
+        def parse(lineno, line, row):
+            nonlocal ragged
             width = line.count(",") + 1
-            if i == 0:
-                expected = n if square else width
-                # Allocated only when the first row fits it.
-                table = np.empty((n, expected)) if width == expected else None
             if ragged is None and width == expected:
-                _parse_row(path, lineno, line, table[i])
-            else:
-                # The file is rejected, but a non-number anywhere in it
-                # takes precedence, so its tokens are still checked.
-                _parse_row(path, lineno, line, None)
-                if ragged is None:
-                    ragged = lineno, width
+                _parse_row(path, lineno, line, row)
+                return
+            # The file is rejected, but a non-number anywhere in it takes
+            # precedence, so its tokens are still checked.
+            _parse_row(path, lineno, line, None)
+            if ragged is None:
+                ragged = lineno, width
+
+        def flush():
+            nonlocal chars, done
+            if not pending:
+                return
+            rows = table[done:done + len(pending)]
+            if not (_EXACT_DECIMALS and _plain_block([line for _, line in pending], rows)):
+                for (lineno, line), row in zip(pending, rows):
+                    parse(lineno, line, row)
+            done += len(pending)
+            pending.clear()
+            chars = 0
+
+        try:
+            for i, (lineno, line) in enumerate(_data_lines(lines)):
+                if i == 0:
+                    width = line.count(",") + 1
+                    expected = n if square else width
+                    # Allocated only when the first row fits it.
+                    table = np.empty((n, expected)) if width == expected else None
+                if ragged is None and table is not None:
+                    pending.append((lineno, line))
+                    chars += len(line)
+                    if chars >= _PARSE_BLOCK:
+                        flush()
+                else:
+                    parse(lineno, line, None)
+        except UnicodeDecodeError:
+            flush()  # a non-number in the lines before it comes first
+            raise
+        flush()
     if n == 0:
         raise ValueError(f"{path}: no data rows")
     if ragged is not None:
@@ -410,8 +564,8 @@ def _read_rows(path, square: bool) -> np.ndarray:
 def read_distance_matrix(path) -> FiniteMetricSpace:
     """Load a distance matrix from CSV: one row per line, comma-separated.
 
-    Validation errors name the offending row and column (1-based).  Each
-    line is parsed straight into its row of one n x n array, which the
+    Validation errors name the offending row and column (1-based).  The
+    lines are parsed straight into the rows of one n x n array, which the
     constructor copies: a dense call holds the distance matrix plus one
     n x n working array, here and in weighting.
     """

@@ -112,6 +112,13 @@ def measure_total_mass(measure: LineWeightMeasure) -> float:
     return mass
 
 
+#: Relative rounding bound of the interval's magnitude 1 + length/2, as
+#: measure_total_mass sums interval_weight_measure: the two atoms add to 1
+#: exactly and length/2 is exact (a subnormal length loses under 2^-1075),
+#: so the sum rounds once: u = 2^-53.
+INTERVAL_ROUNDING = 2.0**-53
+
+
 def interval_weight_measure(length: float) -> tuple[LineSubset, LineWeightMeasure]:
     """Weight measure of the closed interval [0, length].
 

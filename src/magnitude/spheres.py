@@ -113,6 +113,12 @@ def sphere_closed_rounding(n: int) -> float:
     return (5 * (int(n) // 2) + 6) * 2.0**-53
 
 
+#: Relative rounding bound of circle_magnitude_closed: c/2 is exact (a
+#: subnormal c loses under 2^-1075) and x_over_one_minus_exp_neg is within
+#: 3u, u = 2^-53.
+CIRCLE_CLOSED_ROUNDING = 3.0 * 2.0**-53
+
+
 def circle_magnitude_closed(circumference: float) -> float:
     """Magnitude of the circle of a given circumference.
 
@@ -185,6 +191,12 @@ def _over(x: float, n: int) -> float:
     except OverflowError:
         p, q = x.as_integer_ratio()
         return p / (q * n)
+
+
+#: Relative rounding bound of subspace_sphere2_closed: 2R is exact and the
+#: chord ratio half_x2_over_one_minus_one_plus_x_exp_neg is within 8u on
+#: either branch, u = 2^-53.
+SUBSPACE_SPHERE2_ROUNDING = 8.0 * 2.0**-53
 
 
 def subspace_sphere2_closed(R: float) -> float:

@@ -1,5 +1,6 @@
 """Tests for finite metric spaces and the weight-equation solver."""
 
+import decimal
 import math
 import os
 import re
@@ -691,7 +692,8 @@ def outcome(read, path):
 
 
 #: Tokens float() accepts, in the spellings a CSV file may hold, and some it rejects.
-NUMBERS = ["0", "1", "-0", "2.5", " 3 ", "\t4", "1e3", "1_0", "inf", "-inf", "nan", "1e999"]
+NUMBERS = ["0", "1", "-0", "2.5", " 3 ", "\t4", "1e3", "1_0", "inf", "-inf", "nan", "1e999",
+           "5.8306120862155568", "0.012345678901234567"]
 NON_NUMBERS = ["", "x", "0x1", "1 2", "1__0", "--1", "nan1"]
 
 
@@ -775,3 +777,124 @@ class TestStreamingReader:
         assert code == 2
         assert capsys.readouterr().err == f"ValueError: {path}: {message}\n"
         assert peak < 2**20
+
+
+class TestStreamingReaderWithoutExactDecimals(TestStreamingReader):
+    """The same cases with every line parsed by float(), as where long double
+    is binary64 or IBM double-double."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def float_only(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(finite, "_EXACT_DECIMALS", False)
+            yield
+
+    # Hypothesis runs a test function for one class only, so the inherited
+    # body is wrapped again here.
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_texts(), square=st.booleans())
+    def test_agrees_with_the_list_reader(self, tmp_path_factory, text, square):
+        inner = TestStreamingReader.test_agrees_with_the_list_reader.hypothesis.inner_test
+        inner(self, tmp_path_factory, text, square)
+
+
+def is_plain(token):
+    """The grammar of _plain_block: "-", optional, then digits with at most
+    one ".", and at least one digit."""
+    return re.fullmatch(r"-?[0-9]*\.?[0-9]*", token) is not None and re.search("[0-9]", token) is not None
+
+
+@st.composite
+def near_midpoints(draw):
+    """Decimals within 2^-64 of the midpoint of two adjacent doubles, or of
+    the double below a power of two and that power, or that midpoint's
+    nearest decimal of 15 to 18 significant digits."""
+    if draw(st.booleans()):
+        a = draw(st.floats(1e-9, 1e17))
+        b = math.nextafter(a, math.inf)
+    else:
+        b = 2.0 ** draw(st.integers(-29, 59))
+        a = math.nextafter(b, 0.0)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2000
+        m = (decimal.Decimal(a) + decimal.Decimal(b)) / 2
+        offset = draw(st.sampled_from([None, -1, 0, 1]))
+        if offset is None:
+            ctx.prec = draw(st.integers(15, 18))
+            return format(+m, "f")
+        return format(m + offset * m / 2**66, "f")
+
+
+@st.composite
+def decimal_tokens(draw):
+    """Tokens as distance files hold them, and some that are not plain."""
+    kind = draw(st.sampled_from(["format", "format", "midpoint", "literal"]))
+    if kind == "literal":
+        return draw(st.sampled_from([
+            "0", "-0", "-0.0", "0.000", "1.", ".5", "-.5", "00012", "99999999999999999999",
+            "1000000000000000000", "999999999999999999", "0.0000000000000000000000000001",
+            "-", ".", "-.", "", "1-2", "1..2", "1.2.3", "--1", "+1", "1e3", " 1", "inf",
+        ]))
+    if kind == "midpoint":
+        return draw(st.sampled_from(["", "-"])) + draw(near_midpoints())
+    x = draw(st.one_of(st.floats(-1e16, 1e16), st.floats(allow_nan=False, allow_infinity=False),
+                       st.floats(1e-3, 0.1)))
+    spec = draw(st.sampled_from(["%.17g", "%.16g", "repr", "%.12f", "%.20f"]))
+    return repr(x) if spec == "repr" else spec % x
+
+
+@pytest.mark.skipif(not finite._EXACT_DECIMALS,
+                    reason="long double is neither x87 extended nor binary128")
+class TestPlainBlock:
+    @settings(max_examples=500, deadline=None)
+    @given(tokens=st.lists(decimal_tokens(), min_size=1, max_size=40), width=st.integers(1, 8))
+    @example(tokens=["56526877.3170674704", "697042.199815635744", "0.00763010987093042407",
+                     "-560.682887393715248"], width=4)
+    def test_stores_what_float_returns(self, tokens, width):
+        width = min(width, len(tokens))
+        tokens = tokens[:len(tokens) // width * width]
+        lines = [",".join(tokens[i:i + width]) for i in range(0, len(tokens), width)]
+        out = np.full((len(lines), width), np.nan)
+        plain = all(is_plain(t) for t in tokens)
+        assert finite._plain_block(lines, out) == plain
+        if plain:
+            assert out.tobytes() == np.array([float(t) for t in tokens]).reshape(out.shape).tobytes()
+
+    @pytest.mark.parametrize("lines", [["1,2,3", "4"], ["1", "2,3,4"], ["1,2", "3,4,"], ["1,2", "3;4"]])
+    def test_lines_of_the_wrong_length_are_not_plain(self, lines):
+        assert not finite._plain_block(lines, np.empty((2, 2)))
+
+    @given(a=st.floats(2.0**-1022, 1e300))
+    @example(a=math.nextafter(1.0, 0.0))
+    @example(a=math.nextafter(2.0**60, 0.0))
+    def test_midpoints_are_flagged(self, a):
+        # Halfway from a to the next double up, and from the double below a
+        # power of two to that power, but not a itself or a neighbour of the
+        # midpoint in long double.
+        b = math.nextafter(a, math.inf)
+        mid = (np.longdouble(a) + np.longdouble(b)) / 2
+        x = np.array([mid, np.longdouble(a), np.nextafter(mid, np.longdouble(0)),
+                      np.nextafter(mid, np.longdouble(math.inf))])
+        assert finite._binary64_midpoints(x).tolist() == [True, False, False, False]
+
+    @pytest.mark.parametrize("token", ["-", ".", "-.", "1-2", "1..2", "1.2.3", "--1", "0x1", "1e3"])
+    def test_other_tokens_keep_their_messages(self, tmp_path, token):
+        path = tmp_path / "d.csv"
+        path.write_text(f"0,1\n1,{token}\n", encoding="utf-8")
+        expected = outcome(list_reader, path)
+        assert outcome(lambda p: finite._read_rows(p, True), path) == expected
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_savetxt_files_take_no_line_by_line_parse(self, tmp_path, monkeypatch, n):
+        # A fast path that fell back silently would pass every other test.
+        # Coordinates of both signs whose %.17g needs no exponent.
+        rng = np.random.default_rng(n)
+        points = rng.uniform(0.5, 1.0, size=(n, 3)) * rng.choice([-1.0, 1.0], size=(n, 3))
+        points *= [1.0, 1e2, 1e4]
+        cloud, matrix = tmp_path / "pts.csv", tmp_path / "d.csv"
+        np.savetxt(cloud, points, fmt="%.17g", delimiter=",")
+        d = read_point_cloud(cloud).d
+        np.savetxt(matrix, d, fmt="%.17g", delimiter=",")
+        monkeypatch.setattr(finite, "_parse_row", mock.Mock(side_effect=AssertionError))
+        assert finite._read_rows(cloud, False).tobytes() == points.tobytes()
+        assert read_distance_matrix(matrix).d.tobytes() == d.tobytes()

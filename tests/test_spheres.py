@@ -147,6 +147,35 @@ class TestClosedFormRounding:
             assert abs(mpmath.mpf(value) - sphere_closed_exact(n, R)) <= bound
 
 
+def closed_form_exact(space, x):
+    """The interval's 1 + x/2, the circle's (x/2) / (1 - e^(-x/2)) or the
+    chord-metric 2-sphere's 2 x^2 / (1 - e^(-2x) (1 + 2x)) from the double x,
+    at 50 digits plus those the last one cancels."""
+    with mpmath.workdps(50 + 2 * max(0, -math.floor(math.log10(x)))):
+        x = mpmath.mpf(x)
+        if space == "interval":
+            return 1 + x / 2
+        if space == "circle":
+            return x / 2 / -mpmath.expm1(-x / 2)
+        return 2 * x**2 / (1 - mpmath.exp(-2 * x) * (1 + 2 * x))
+
+
+class TestOtherClosedFormRounding:
+    @settings(max_examples=400, deadline=None)
+    @given(space=st.sampled_from(["interval", "circle", "sphere-subspace"]),
+           x=st.floats(5e-324, 1e150))
+    @example(space="interval", x=1.7e308)
+    @example(space="circle", x=1.7e308)
+    @example(space="sphere-subspace", x=1.0)  # the chord ratio's branch point, 2R = 2
+    @example(space="sphere-subspace", x=1e-300)
+    def test_within_its_bound_of_50_digits(self, space, x):
+        # The pair a closed sweep row prints; k = 1.
+        value, bound = EVALUATORS[space, "closed"](x, 2, None, None, None)
+        assert bound > 0.0
+        with mpmath.workdps(50):
+            assert abs(mpmath.mpf(value) - closed_form_exact(space, x)) <= bound
+
+
 class TestPPolynomial:
     def test_n0_and_n1(self):
         assert P_polynomial(0).coeffs == ((0, 2.0),)
