@@ -2,7 +2,9 @@
 
 Every valid (space, method) pair is one entry of EVALUATORS, which both the
 single-value subcommands and `sweep` call: a sweep row at x holds the number
-the matching subcommand prints at x.
+the matching subcommand prints at x.  parse_sweep_spec turns a sweep file
+into its grid and an evaluate(x) bound to the pair's entry, so `sweep` only
+evaluates and writes the rows.
 
 Exit codes: 0 on success, 2 on input errors (including argparse failures),
 3 on numerical failures, taken from MagnitudeError.exit_code (ValueError,
@@ -41,7 +43,6 @@ from . import line, spheres
 from ._numeric import (
     DEFAULT_CONFIG,
     DEFAULT_TOL,
-    Frozen,
     QuadratureConfig,
     geomspace,
     linspace,
@@ -297,19 +298,11 @@ def _geometric_grid(tmin: float, tmax: float) -> list[float]:
     if not 0.0 < tmin < tmax < math.inf:
         raise ValueError(f"need 0 < tmin < tmax < inf, got tmin={tmin}, tmax={tmax}")
     grid = [tmin]
-    while grid[-1] * 2.0 <= tmax * (1.0 + 1e-12):
-        grid.append(grid[-1] * 2.0)
+    # From tmax of about 1.8e308 on, the bound is inf: the grid then ends
+    # before the first point that overflows.
+    while (t := grid[-1] * 2.0) <= tmax * (1.0 + 1e-12) and t < math.inf:
+        grid.append(t)
     return grid
-
-
-def _sampler(f, samples: dict):
-    """f behind the guard, each value also kept in samples under its argument."""
-
-    def sample(t):
-        samples[t] = value = _guarded(t, lambda: (f(t),))[0]
-        return value
-
-    return sample
 
 
 def _cmd_asymptotics(args) -> int:
@@ -337,19 +330,16 @@ def _cmd_asymptotics(args) -> int:
         # numerical failure leaves stdout empty.
         csv.writer(sys.stdout).writerow(header)
         raise ValueError(problem)
-    samples = {}
     if args.metric == "intrinsic":
         rounding = spheres.sphere_closed_rounding(n)
         relative_errors = [rounding + asymptotics.closed_form_tail(t) for t in grid]
-        extracted = asymptotics.extract_parity_expansion(
-            _sampler(lambda t: spheres.sphere_magnitude_closed(n, t), samples), n, grid
-        )
+        samples = {t: _guarded(t, lambda: (spheres.sphere_magnitude_closed(n, t),))[0] for t in grid}
+        extracted = asymptotics.extract_parity_expansion(samples.__getitem__, n, grid)
     else:
         cfg = _quad_config(args.tol)
         relative_errors = [cfg.rel_tol + asymptotics.subspace_ratio_rounding(n)] * len(grid)
-        extracted = asymptotics.extract_subspace_expansion(
-            _sampler(lambda R: asymptotics.subspace_ratio(n, R, cfg), samples), grid
-        )
+        samples = {R: _guarded(R, lambda: (asymptotics.subspace_ratio(n, R, cfg),))[0] for R in grid}
+        extracted = asymptotics.extract_subspace_expansion(samples.__getitem__, grid)
     # The extraction is linear in the samples, so their errors e_i move the
     # t^k coefficient by at most sum_i |d c_k / d f_i| e_i: the spread printed
     # is the larger of that and the extrapolation spread.  Every row is
@@ -380,52 +370,6 @@ def _cmd_tube_check(args) -> int:
     return 0
 
 
-class SweepSpec(Frozen):
-    """One-parameter sweep: space kind, grid, and evaluation method.
-
-    scale is "linear" or "geometric"; method is "closed", "quadrature" or
-    "finite-N".
-    """
-
-    __slots__ = ("space", "param_name", "start", "stop", "points", "scale", "method", "dim",
-                 "matrix", "tol")
-
-    def __init__(
-        self,
-        space: str,
-        param_name: str,
-        start: float,
-        stop: float,
-        points: int,
-        scale: str,
-        method: str,
-        dim: int | None = None,
-        matrix: str | None = None,
-        tol: float | None = None,
-    ):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "param_name", param_name)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "stop", stop)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "tol", tol)
-
-    def grid(self) -> list[float]:
-        """The points swept, a list of floats from start to stop, both exact.
-
-        A linear grid is np.linspace's, bit for bit.  A geometric grid is
-        np.geomspace's formula on libm (see _numeric.geomspace), so an
-        interior point may differ from numpy's in its last bits.
-        """
-        if self.scale == "linear":
-            return linspace(self.start, self.stop, self.points)
-        return geomspace(self.start, self.stop, self.points)
-
-
 #: The spaces that take each key a sweep file may add to the required ones.
 _SPACES_TAKING = {
     "dim": ("sphere-intrinsic", "sphere-subspace"),
@@ -442,8 +386,19 @@ def _spec_number(path, fields: dict, key: str, kind: type):
         raise ValueError(f"{path}: {key} must be {what}, got {fields[key]!r}") from None
 
 
-def parse_sweep_spec(path) -> SweepSpec:
-    """Parse the flat key=value sweep file."""
+def parse_sweep_spec(path):
+    """What the sweep file at path asks for: (space, param_name, method, grid,
+    evaluate), where grid is the list of floats swept and evaluate(x) gives
+    (magnitude, error estimate) at a grid point x.
+
+    The file is flat key=value lines.  After its checks come those of the
+    setup, in this order: a sweep too large for the available memory is
+    refused, the finite-file matrix is read, and a malformed
+    MAGNITUDE_DEFAULT_TOL is rejected even where the method ignores it.
+    A linear grid is np.linspace's, bit for bit; a geometric one is
+    np.geomspace's formula on libm (see _numeric.geomspace), so an interior
+    point may differ from numpy's in its last bits.
+    """
     fields: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -470,7 +425,8 @@ def parse_sweep_spec(path) -> SweepSpec:
     if space not in _PARAM_NAMES:
         raise ValueError(f"{path}: space must be one of {', '.join(_PARAM_NAMES)}; got {space!r}")
     method = fields["method"]
-    if (space, _method_kind(method)[0]) not in EVALUATORS:
+    kind, n = _method_kind(method)
+    if (space, kind) not in EVALUATORS:
         valid = " or ".join(m.replace("finite", "finite-N") for s, m in EVALUATORS if s == space)
         raise ValueError(f"{path}: method for space {space!r} must be {valid}; got {method!r}")
     start, stop = (_spec_number(path, fields, key, float) for key in ("start", "stop"))
@@ -506,18 +462,18 @@ def parse_sweep_spec(path) -> SweepSpec:
     if "tol" in fields:
         tol = positive_finite(_spec_number(path, fields, "tol", float), f"{path}: tol")
 
-    return SweepSpec(
-        space=space,
-        param_name=_PARAM_NAMES[space],
-        start=start,
-        stop=stop,
-        points=points,
-        scale=scale,
-        method=method,
-        dim=dim,
-        matrix=matrix,
-        tol=tol,
+    _refuse_unless_fits(
+        _SWEEP_ROW_BYTES * points, f"a sweep of {points} points needs about {_SWEEP_ROW_BYTES} x {points} bytes"
     )
+    evaluator = EVALUATORS[space, kind]
+    loaded = None
+    if matrix is not None:
+        from . import finite
+
+        loaded = finite.read_distance_matrix(matrix)
+    _solver_tol(tol)  # a malformed MAGNITUDE_DEFAULT_TOL exits 2 even where the method ignores it
+    grid = (linspace if scale == "linear" else geomspace)(start, stop, points)
+    return space, _PARAM_NAMES[space], method, grid, lambda x: evaluator(x, dim, n, tol, loaded)
 
 
 def _method_kind(method: str) -> tuple[str, int | None]:
@@ -535,23 +491,8 @@ def _method_kind(method: str) -> tuple[str, int | None]:
 def _cmd_sweep(args) -> int:
     import csv
 
-    spec = parse_sweep_spec(args.spec)
-    _refuse_unless_fits(
-        _SWEEP_ROW_BYTES * spec.points,
-        f"a sweep of {spec.points} points needs about {_SWEEP_ROW_BYTES} x {spec.points} bytes",
-    )
-    kind, n = _method_kind(spec.method)
-    evaluate = EVALUATORS[spec.space, kind]
-    loaded = None
-    if spec.matrix is not None:
-        from . import finite
-
-        loaded = finite.read_distance_matrix(spec.matrix)
-    _solver_tol(spec.tol)  # reject a malformed MAGNITUDE_DEFAULT_TOL even if the method ignores it
-    rows = []
-    for value in spec.grid():
-        mag, err = _guarded(value, lambda: evaluate(value, spec.dim, n, spec.tol, loaded))
-        rows.append((spec.space, spec.param_name, _fmt(value), spec.method, _fmt(mag), _fmt(err)))
+    space, param_name, method, grid, evaluate = parse_sweep_spec(args.spec)
+    rows = [(space, param_name, _fmt(x), method, *map(_fmt, _guarded(x, lambda: evaluate(x)))) for x in grid]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)

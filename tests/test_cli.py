@@ -300,6 +300,23 @@ class TestAsymptoticsCommand:
         assert proc.stdout == ""
         assert proc.stderr.startswith("ValueError: ")
 
+    def test_grid_to_the_largest_double_ends_before_inf(self):
+        grid = cli._geometric_grid(1.0, sys.float_info.max)
+        assert len(grid) == 1024 and grid[-1] == 2.0**1023
+        # Below the point where tmax (1 + 1e-12) overflows, the grid is as before.
+        assert cli._geometric_grid(1.0, 2.0**1022)[-1] == 2.0**1022
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--dim", "2", "--orders", "3", "--tmin", "1"], 3),
+        (["--dim", "3", "--metric", "subspace", "--orders", "2", "--tmin", "1e300"], 3),
+        (["--dim", "2", "--orders", "3", "--tmin", "1e308"], 2),
+    ], ids=["intrinsic", "subspace", "one-point"])
+    def test_tmax_at_the_largest_double_ends(self, capsys, argv, code):
+        # Without a memory cap: the grid ends before its first infinite point.
+        got, out, err = run_cli(capsys, "asymptotics", *argv, "--tmax", "1.7976931348623157e308")
+        assert got == code, err
+        assert out.splitlines() == (["power,extracted,predicted,spread"] if code == 2 else [])
+
     @pytest.mark.parametrize("tmin,metric", [
         (tmin, metric) for tmin in (1e2, 1e3, 1e4, 1e6, 1e8, 1e12, 1e50, 1e100)
         for metric in ("intrinsic", "subspace")
@@ -540,10 +557,10 @@ class TestSweep:
             "# comment line\nspace=circle\nmethod=finite-32\n"
             "start=1\nstop=10\npoints=4\nscale=geometric\n",
         )
-        parsed = parse_sweep_spec(spec)
-        assert parsed.space == "circle"
-        assert parsed.param_name == "circumference"
-        assert parsed.grid() == pytest.approx([1.0, 10 ** (1 / 3), 10 ** (2 / 3), 10.0])
+        space, param_name, method, grid, evaluate = parse_sweep_spec(spec)
+        assert (space, param_name, method) == ("circle", "circumference", "finite-32")
+        assert grid == pytest.approx([1.0, 10 ** (1 / 3), 10 ** (2 / 3), 10.0])
+        assert evaluate(grid[1]) == EVALUATORS["circle", "finite"](grid[1], None, 32, None, None)
 
 
 class TestExitCodes:

@@ -289,6 +289,78 @@ class TestLapack:
         assert solution_bits(got) == solution_bits(expected)
 
 
+#: A private 50-digit mpmath context for the dense-solve oracle, so the
+#: precision of the global context is untouched.
+mp50 = mpmath.MPContext()
+mp50.dps = 50
+
+#: Unit roundoff of a double.
+U = 2.0**-53
+
+
+def oracle_magnitude(d):
+    """The sum of the weights of exp(-d) w = 1 for the doubles in d, solved by
+    mpmath.lu_solve at 50 digits: no LAPACK, no double rounding."""
+    Z = mp50.matrix([[mp50.exp(-mp50.mpf(x)) for x in row] for row in d.tolist()])
+    return mp50.fsum(mp50.lu_solve(Z, mp50.matrix([1] * len(d))))
+
+
+def oracle_cases():
+    """pytest params (space, scale factor) for n <= 30: random Euclidean clouds at
+    scales 1 and 0.01 and at two scales that put rcond near the 1e-10 floor
+    (rcond falls about linearly with the scale), and equilateral spaces from
+    distance 10 down to one where rcond is about 4e-10."""
+    cases = []
+    for n in (3, 8, 15, 30):
+        for seed in (0, 1):
+            X = random_euclidean(n, seed=seed)
+            slope = weighting(X, DEFAULT_TOL, 1e-3).rcond / 1e-3
+            for t, label in ((1.0, "1"), (0.01, "0.01"), (1e-9 / slope, "rcond-1e-9"),
+                             (3e-10 / slope, "rcond-3e-10")):
+                cases.append(pytest.param(X, t, id=f"cloud-{n}-{seed}-{label}"))
+    for n in (2, 3, 10, 30):
+        for d in (10.0, 1.0, 1e-3, 1e-6, 8e-10 * (n - 1)):
+            cases.append(pytest.param(equilateral(n, d), 1.0, id=f"equilateral-{n}-{d:.3g}"))
+    return cases
+
+
+class TestOracle:
+    """The magnitude of a dense solve against a 50-digit oracle.
+
+    Bound, for n points with weights w (computed) and w* (exact, for the
+    doubles in d), Z = exp(-t d) and u = 2^-53:
+
+    - The similarity matrix is Z + E1 with |E1| <= 2u |Z|: the oracle is
+      given the same rounded products t d, so only numpy's exp rounds, within
+      one ulp, 2u relative.
+    - getrf and getrs with partial pivoting solve (Z + E1 + E2) w = 1 with
+      |E2| <= 3n u |L||U| to first order (Higham, Accuracy and Stability,
+      Thm 9.4).  Z is positive definite with a unit diagonal and entries in
+      (0, 1], so the growth is about 1 and ||E2||_1 <= 3n u ||Z||_1 is taken.
+      One refinement step, when the residual exceeds tol, only shrinks it.
+    - So ||w - w*||_1 <= ||Z^-1||_1 (3n + 2) u ||Z||_1 ||w||_1 =
+      kappa_1 (3n + 2) u ||w||_1.  rcond is dgecon's estimate of 1/kappa_1;
+      its estimate of ||Z^-1||_1 is a lower bound, within a factor 3 in
+      practice (Higham, ch. 15), so kappa_1 <= 3 / rcond is taken.
+    - The sum of the n weights adds at most (n - 1) u ||w||_1, below
+      n u ||w||_1 / rcond since rcond <= 1.  The oracle's 50 digits add
+      nothing visible.
+
+    In all |sum w - sum w*| <= (3 (3n + 2) + n) u ||w||_1 / rcond =
+    (10n + 6) u ||w||_1 / rcond <= 16 n u ||w||_1 / rcond for n >= 1: k = 16.
+    """
+
+    K = 16
+
+    @pytest.mark.parametrize("X, t", oracle_cases())
+    def test_within_the_bound(self, X, t):
+        w = weighting(X, DEFAULT_TOL, t)
+        value = float(w.w.sum())
+        bound = self.K * X.n * U * float(np.abs(w.w).sum()) / w.rcond
+        oracle = oracle_magnitude(scale(X, t).d)
+        assert abs(mp50.mpf(value) - oracle) <= bound, (value, oracle, bound, w.rcond)
+
+
 class TestScaledWeighting:
     """weighting(X, tol, t) solves for tX without building it."""
 

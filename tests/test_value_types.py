@@ -11,7 +11,6 @@ import re
 import pytest
 
 from magnitude.asymptotics import AsymptoticExpansion, GermExpansion
-from magnitude.cli import SweepSpec
 from magnitude.finite import Weighting
 from magnitude.line import LineSubset, LineWeightMeasure
 from magnitude.quadrature import IntegralResult, QuadratureConfig
@@ -22,13 +21,6 @@ REQUIRED = inspect.Parameter.empty
 # (class, its constructor parameters as (name, default), keyword arguments of
 # a valid instance, one keyword argument that makes a different valid instance)
 TYPES = [
-    (SweepSpec,
-     [("space", REQUIRED), ("param_name", REQUIRED), ("start", REQUIRED), ("stop", REQUIRED),
-      ("points", REQUIRED), ("scale", REQUIRED), ("method", REQUIRED), ("dim", None),
-      ("matrix", None), ("tol", None)],
-     dict(space="sphere-intrinsic", param_name="radius", start=1.0, stop=4.0, points=3,
-          scale="linear", method="closed", dim=2),
-     ("points", 4)),
     (LineSubset, [("intervals", REQUIRED)], dict(intervals=((0.0, 1.0), (2.0, 3.0))),
      ("intervals", ((0.0, 1.0),))),
     (LineWeightMeasure, [("atoms", ()), ("densities", ())],
