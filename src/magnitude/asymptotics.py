@@ -284,15 +284,22 @@ def extract_parity_expansion(f, leading_power: int, t_grid) -> AsymptoticExpansi
     )
 
 
-def subspace_ratio(n: int, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Chord-metric magnitude of S^n_R over its leading term sigma_n R^n / (n! omega_n)."""
-    from .quadrature import subspace_sphere_magnitude_quadrature
-
-    magnitude = subspace_sphere_magnitude_quadrature(n, R, cfg)
+def subspace_lead(n: int, R: float) -> float:
+    """Leading term sigma_n R^n / (n! omega_n) of the chord-metric magnitude of
+    S^n_R.  R**n raises OverflowError when it overflows; a term below the
+    normal range raises ValueError."""
     lead = volume_coefficient(n) * R**n
     if lead < sys.float_info.min:
         raise ValueError(f"grid too close to 0: the leading term at R = {R!r} is below the normal range")
-    return magnitude / lead
+    return lead
+
+
+def subspace_ratio(n: int, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """Chord-metric magnitude of S^n_R over its leading term subspace_lead(n, R)."""
+    from .quadrature import subspace_sphere_magnitude_quadrature
+
+    magnitude = subspace_sphere_magnitude_quadrature(n, R, cfg)
+    return magnitude / subspace_lead(n, R)
 
 
 #: Unit roundoff of a double.

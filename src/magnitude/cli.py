@@ -338,6 +338,11 @@ def _cmd_asymptotics(args) -> int:
     else:
         cfg = _quad_config(args.tol)
         relative_errors = [cfg.rel_tol + asymptotics.subspace_ratio_rounding(n)] * len(grid)
+        # The leading terms cost nothing, so one that is out of range fails
+        # the call before the first quadrature, with the message it gives
+        # as a sample.
+        for R in grid:
+            _guarded(R, lambda: (asymptotics.subspace_lead(n, R),))
         samples = {R: _guarded(R, lambda: (asymptotics.subspace_ratio(n, R, cfg),))[0] for R in grid}
         extracted = asymptotics.extract_subspace_expansion(samples.__getitem__, grid)
     # The extraction is linear in the samples, so their errors e_i move the

@@ -21,9 +21,33 @@ import numpy as np
 from ._numeric import DEFAULT_TOL, Frozen, positive_finite
 from .errors import NonpositiveLength, NonpositiveScale, NotHomogeneous, SingularSystem
 
-#: Rows per block of the triangle check; a block works in arrays of
-#: _TRIANGLE_BLOCK x n doubles.
+#: Rows per block of the triangle check and of its embedding proof; a block
+#: works in arrays of _TRIANGLE_BLOCK x n doubles.
 _TRIANGLE_BLOCK = 64
+
+#: Rows per block of the symmetry check.  Comparing rows with transposed
+#: columns, numpy buffers both operands, up to 8192 doubles each, so a block
+#: holds about 16 x _SYMMETRY_BLOCK x n bytes and one more byte per entry.
+_SYMMETRY_BLOCK = 8
+
+#: Unit roundoff of a double.
+_U = 2.0**-53
+
+#: Residual Gram diagonal below which the embedding proof takes no more
+#: coordinates.  Distances are scaled into [0, 1), so Gram entries are at
+#: most 1 and carry a few u of rounding: the residual that uniform clouds
+#: leave at their full rank read u at rank 2 and 12 u at rank 90 (u = 2^-53).
+#: A further dimension of extent below sqrt(2^-45), about 1.7e-7 of the
+#: largest distance, is lost in that rounding, yet moves some distances by
+#: more than the proof allows (about 3e-13 of it), so the proof fails on it
+#: whatever the floor.
+_GRAM_FLOOR = 2.0**-45
+
+#: Bound on the verification's subnormal rounding, in the same units: the
+#: scaled distances round by at most 2^-1075 and each squared coordinate
+#: difference by as much, so a distance of r coordinates moves by at most
+#: sqrt(r 2^-1074) + 2^-1075, below 2^-500 for any r < 2^70.
+_SUBNORMAL = 2.0**-500
 
 #: Rows of the similarity matrix per block of the weight-equation residual.
 _RESIDUAL_BLOCK = 64
@@ -41,12 +65,20 @@ class FiniteMetricSpace:
         Symmetric nonnegative matrix with zero diagonal and strictly
         positive off-diagonal entries.
     check_triangle : bool
-        Verify the triangle inequality on construction.  The check forms
-        the n^3/2 sums d[i,j] + d[j,k] with k >= i, in row blocks on every
-        CPU the process may use, and accepts exactly the matrices that the
-        naive scan over all (i, j, k) accepts.  It, not the LAPACK solve,
-        dominates the time of `finite --matrix`.  Internal constructors that
-        build provably metric data disable it.
+        Verify the triangle inequality on construction.  The check accepts
+        exactly the matrices that the naive scan over all (i, j, k) accepts.
+        It first tries to prove in O(n^2 r) that the distances are those of
+        points in R^r, r <= n / 16, to within a bound under which the scan
+        must accept; point clouds in few dimensions pass so and skip it.
+        Otherwise it forms the n^3/2 sums d[i,j] + d[j,k] with k >= i, in
+        row blocks on every CPU the process may use, and that scan, not the
+        LAPACK solve, dominates the time of `finite --matrix`.  Internal
+        constructors that build provably metric data disable it.
+
+    Besides its copy of the distances, the constructor's other checks hold
+    no n x n array: the matrix's extremes show a non-finite entry, the
+    off-diagonal minimum a nonpositive one, and symmetry is compared in
+    blocks of _SYMMETRY_BLOCK rows.
     """
 
     __slots__ = ("d",)
@@ -58,22 +90,23 @@ class FiniteMetricSpace:
         n = d.shape[0]
         if n == 0:
             raise ValueError("a metric space needs at least one point")
-        if not np.all(np.isfinite(d)):
+        # A NaN anywhere makes both extremes NaN.
+        if not (math.isfinite(d.min()) and math.isfinite(d.max())):
             i, j = map(int, np.argwhere(~np.isfinite(d))[0])
             raise ValueError(f"non-finite distance at row {i}, column {j}")
         diag = d.diagonal()
         if np.any(diag != 0.0):
             i = int(np.nonzero(diag)[0][0])
             raise ValueError(f"nonzero diagonal entry at row {i}")
-        if not np.array_equal(d, d.T):
-            i, j = map(int, np.argwhere(d != d.T)[0])
-            raise ValueError(f"asymmetric distances at row {i}, column {j}")
-        # The n zeros of the diagonal are the only entries allowed to be <= 0.
-        if np.count_nonzero(d <= 0.0) > n:
-            bad = d <= 0.0
-            np.fill_diagonal(bad, False)
-            i, j = map(int, np.argwhere(bad)[0])
+        _check_symmetric(d)
+        # The diagonal, zeros of either sign here, is the only place allowed
+        # to be <= 0.
+        zeros = diag.copy()
+        np.fill_diagonal(d, math.inf)
+        if d.min() <= 0.0:
+            i, j = map(int, np.argwhere(d <= 0.0)[0])
             raise ValueError(f"nonpositive distance between distinct points {i} and {j}")
+        np.fill_diagonal(d, zeros)
         if check_triangle:
             _check_triangle(d)
         d.setflags(write=False)
@@ -87,25 +120,47 @@ class FiniteMetricSpace:
         return f"FiniteMetricSpace(n={self.n})"
 
 
+def _check_symmetric(d):
+    """Raise ValueError naming the first entry in row-major order with
+    d[i,j] != d[j,i], comparing the upper triangle a block of rows at a time.
+
+    The first such entry has j > i, as its mirror (j, i) comes later, so a
+    block of rows from i0 compares only its columns from i0 on.
+    """
+    for i0 in range(0, d.shape[0], _SYMMETRY_BLOCK):
+        rows = d[i0:i0 + _SYMMETRY_BLOCK, i0:]
+        mirror = d[i0:, i0:i0 + _SYMMETRY_BLOCK].T
+        if not np.array_equal(rows, mirror):
+            i, j = map(int, np.argwhere(rows != mirror)[0])
+            raise ValueError(f"asymmetric distances at row {i0 + i}, column {i0 + j}")
+
+
 def _check_triangle(d):
     """Raise ValueError unless d[i,k] <= d[i,j] + d[j,k] + slack for all i, j, k.
 
-    d must already be symmetric.  The rows are split into blocks of
-    _TRIANGLE_BLOCK, and each block takes a min-plus product over its part of
-    the upper triangle.  The blocks run on one thread per CPU the process may
-    use; numpy releases the GIL inside the ufuncs.  The message names the
-    first violated pair (i, k), k > i, in row-major order and the smallest j
-    that violates it, whatever order the blocks finish in.
+    d must already be symmetric.  When _embeds proves that the naive scan
+    over all (i, j, k) accepts d, which it does for the distances of point
+    clouds in few dimensions, the check returns at once.  Otherwise the rows
+    are split into blocks of _TRIANGLE_BLOCK, and each block takes a
+    min-plus product over its part of the upper triangle.  The blocks run on
+    one thread per CPU the process may use; numpy releases the GIL inside
+    the ufuncs.  The message names the first violated pair (i, k), k > i, in
+    row-major order and the smallest j that violates it, whatever order the
+    blocks finish in.  Only the scan rejects, so the matrices accepted and
+    the messages are the scan's.
     """
     # The slack absorbs roundoff in distances that sit exactly on the
     # equality case (collinear points).
     slack = 1e-12 * (1.0 + float(d.max()))
+    if _embeds(d, slack):
+        return
     starts = range(0, d.shape[0], _TRIANGLE_BLOCK)
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    # Imported here, as LAPACK is in weighting: only checked matrices need it.
+    # Imported here, as LAPACK is in weighting: only checked matrices that
+    # the proof declines need it.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(min(len(starts), cpus)) as pool:
@@ -152,6 +207,112 @@ def _triangle_block(d, i0, slack):
         return None
     a, c = divmod(int(bad.T.argmax()), n - i0)
     return i0 + a, i0 + c
+
+
+def _embeds(d, slack) -> bool:
+    """Whether d is proved to lie within eta of the distances of some points
+    x_i of R^r held in doubles, for an eta under which the naive scan, the
+    test d[i,k] > d[i,j] + d[j,k] + slack rounded as written, flags nothing.
+
+    Soundness.  Let s = slack, u = 2^-53 and D = max d.  If
+    |d_ij - |x_i - x_j|| <= eta for all i, j, the points' own triangle
+    inequality gives d_ik <= d_ij + d_jk + 3 eta.  Rounded to nearest,
+    fl(fl(d_ij + d_jk) + s) >= (d_ij + d_jk)(1 - u)^2 + s(1 - u)
+    >= d_ij + d_jk + s(1 - u) - 4uD, and a sum that overflows to inf flags
+    nothing.  So 3 eta <= s(1 - u) - 4uD makes the scan accept.  eta is
+    0.99 of that bound: the 1 % covers the rounding of eta and of the test.
+
+    Points.  d and eta are scaled by the power of two 2^e that puts D in
+    [1/2, 1), exactly but for subnormals, so no square overflows; all below
+    is in those units.  The Gram matrix based
+    at point 0, G_ij = (d_i0^2 + d_j0^2 - d_ij^2) / 2, is positive
+    semidefinite of rank r when d is Euclidean in R^r, and the rows of its
+    pivoted Cholesky factor L (G = L L^T) are points with distances d.
+    _gram_points forms L a column at a time.  The points need not be
+    accurate: only the verification enters the proof.
+
+    Verification.  For each block of _TRIANGLE_BLOCK rows, over its columns
+    from the block's first row on (d is symmetric), the distances
+    e_ij = sqrt(sum_s (x_is - x_js)^2) are formed in this difference form,
+    since |x_i|^2 - 2 x_i . x_j + |x_j|^2 would cancel.  Rounded, the r
+    differences, r squares and r - 1 additions of positive terms put the sum
+    within gamma_(r+2) = (r + 2)u / (1 - (r + 2)u) of its value, relatively,
+    and the square root halves that and adds u: the computed ehat is within
+    (r/2 + 2)u ehat of e to first order, and within _SUBNORMAL more for
+    underflow.  So |ehat - d| + (r/2 + 3)u ehat <= eta - _SUBNORMAL, the test,
+    implies |e - d| <= eta; the extra u covers the second-order terms for
+    any r < 2^20.  The first block that fails it, or yields a NaN, ends the
+    proof with False.
+
+    Cost.  The scan forms about n^3 / 2 sums and as many minima.  The
+    factor costs about n r^2 operations, and the verification about 3r + 7
+    per pair, (3r + 7) n^2 / 2 in all.  So r is capped at n / 16: a proof
+    refused in the verification, the dearest way to fail, then adds about
+    3/32 of the scan's operations, and one that reaches the cap n^3 / 256.
+    Below 16 points the scan alone runs.
+    """
+    n = d.shape[0]
+    cap = n // 16
+    top = float(d.max())
+    if cap == 0 or not top > 0.0:
+        return False
+    e = -math.frexp(top)[1]
+    eta = 0.99 * (slack * (1.0 - _U) - 4.0 * _U * top) / 3.0
+    # A smaller eta only tightens the test; this one scales without overflow.
+    eta = math.ldexp(min(eta, top), e) - _SUBNORMAL
+    # Points off a non-Euclidean d may overflow; inf and NaN fail the test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _gram_points(d, e, cap)
+        if x is None:
+            return False
+        rounding = (len(x) / 2 + 3) * _U
+        for i0 in range(0, n, _TRIANGLE_BLOCK):
+            i1 = min(i0 + _TRIANGLE_BLOCK, n)
+            dist = np.zeros((i1 - i0, n - i0))
+            tmp = np.empty_like(dist)
+            for xs in x:
+                np.subtract(xs[i0:i1, None], xs[i0:], out=tmp)
+                np.square(tmp, out=tmp)
+                dist += tmp
+            np.sqrt(dist, out=dist)
+            np.ldexp(d[i0:i1, i0:], e, out=tmp)
+            tmp -= dist
+            np.abs(tmp, out=tmp)
+            dist *= rounding
+            tmp += dist
+            if not tmp.max() <= eta:
+                return False
+    return True
+
+
+def _gram_points(d, e, cap):
+    """Rows of the pivoted Cholesky factor of the Gram matrix of d 2^e based
+    at point 0, as an (r, n) array of the points' coordinates, or None when
+    cap rows leave a residual diagonal above _GRAM_FLOOR.
+
+    Pivot column p is G_ip = (d_i0^2 + d_p0^2 - d_ip^2) / 2, formed from row
+    p of d, so no n x n Gram is held; the next pivot is the largest residual
+    diagonal G_ii - sum_s L_is^2.
+    """
+    n = d.shape[0]
+    sq0 = np.square(np.ldexp(d[0], e))
+    residual = sq0.copy()
+    x = np.empty((cap, n))
+    for r in range(cap + 1):
+        p = int(residual.argmax())
+        if not residual[p] > _GRAM_FLOOR:
+            return x[:r]
+        if r == cap:
+            return None
+        col = x[r]
+        np.ldexp(d[p], e, out=col)
+        np.square(col, out=col)
+        np.subtract(sq0, col, out=col)
+        col += sq0[p]
+        col *= 0.5
+        col -= x[:r, p] @ x[:r]
+        col /= math.sqrt(residual[p])
+        residual -= np.square(col)
 
 
 class Weighting(Frozen):

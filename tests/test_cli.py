@@ -317,6 +317,23 @@ class TestAsymptoticsCommand:
         assert got == code, err
         assert out.splitlines() == (["power,extracted,predicted,spread"] if code == 2 else [])
 
+    def test_overflowing_leading_term_fails_before_any_quadrature(self, capsys, monkeypatch):
+        # R^2 overflows at the grid's 512th point; the call used to run the
+        # 511 quadratures before it, for seconds, and then fail there.
+        from magnitude import quadrature
+
+        calls = []
+        monkeypatch.setattr(quadrature, "subspace_sphere_magnitude_quadrature",
+                            lambda *args: calls.append(args) or 1.0)
+        code, out, err = run_cli(capsys, "asymptotics", "--dim", "2", "--metric", "subspace",
+                                 "--orders", "1", "--tmin", "1",
+                                 "--tmax", "1.7976931348623157e308")
+        assert code == 3
+        assert out == ""
+        assert err == ("NonFiniteResult: result at 1.3407807929942597e+154 is out of range: "
+                       "(34, 'Numerical result out of range')\n")
+        assert calls == []
+
     @pytest.mark.parametrize("tmin,metric", [
         (tmin, metric) for tmin in (1e2, 1e3, 1e4, 1e6, 1e8, 1e12, 1e50, 1e100)
         for metric in ("intrinsic", "subspace")
@@ -709,9 +726,17 @@ class TestLazyLapack:
                 codes = [run(argv) for argv in calls]
             print(codes, scipy_modules(), "concurrent.futures" in sys.modules, heavy_modules())
             with contextlib.redirect_stdout(io.StringIO()):
+                code = run(["finite", "--matrix", "cloud.csv"])
+            print(code, "concurrent.futures" in sys.modules)
+            with contextlib.redirect_stdout(io.StringIO()):
                 code = run(["finite", "--matrix", "d.csv"])
             print(code, "scipy.linalg" in sys.modules, "numpy.f2py" in sys.modules, heavy_modules())
         """)
+        # 40 points of the plane: the triangle check proves their distances
+        # Euclidean and starts no thread pool for the scan.
+        points = [(math.cos(0.7 * i) * (1 + i / 20), math.sin(1.3 * i) + i / 10) for i in range(40)]
+        (tmp_path / "cloud.csv").write_text(
+            "".join(",".join(repr(math.dist(p, q)) for q in points) + "\n" for p in points))
         proc = run_python(["-c", code], tmp_path)
         assert proc.returncode == 0, proc.stderr
         # The dense solve loads scipy's LAPACK extension alone, not the
@@ -719,7 +744,7 @@ class TestLazyLapack:
         # loads dataclasses or fractions; modules that a bare interpreter
         # already holds (a site hook may load any) are not counted.
         assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0] [] False []",
-                                            "0 False False []"]
+                                            "0 False", "0 False False []"]
 
     def test_scipy_linalg_after_a_dense_solve(self, tmp_path):
         code = textwrap.dedent("""

@@ -80,6 +80,19 @@ class TestConstruction:
         d = np.abs(xs[:, None] - xs[None, :])
         FiniteMetricSpace(d)  # equality case must not trip on roundoff
 
+    def test_point_cloud_with_a_raised_pair_is_rejected(self):
+        d = random_euclidean(100, seed=2).d.copy()
+        detour = d[40] + d[90]
+        detour[[40, 90]] = np.inf
+        j = int(detour.argmin())
+        d[40, 90] = d[90, 40] = detour[j] + 1e-6
+        with pytest.raises(ValueError, match=rf"violated: d\[40,90\] > d\[40,{j}\] \+ d\[{j},90\]$"):
+            FiniteMetricSpace(d)
+
+    def test_long_collinear_grid_passes_triangle_check(self):
+        xs = np.cumsum(np.random.default_rng(2).uniform(0.1, 1.0, size=300))
+        FiniteMetricSpace(np.abs(xs[:, None] - xs[None, :]))
+
     def test_check_triangle_is_keyword_only(self):
         with pytest.raises(TypeError, match="positional"):
             FiniteMetricSpace([[0.0, 1.0], [1.0, 0.0]], False)
@@ -117,21 +130,43 @@ def triangle_report(d):
     return None
 
 
+def shortest_paths(w):
+    """All-pairs shortest-path lengths of the graph with edge weights w (inf:
+    no edge), by Floyd-Warshall."""
+    d = w.copy()
+    np.fill_diagonal(d, 0.0)
+    for j in range(len(d)):
+        np.minimum(d, d[:, j, None] + d[None, j, :], out=d)
+    return d
+
+
 @st.composite
 def perturbed_metrics(draw):
-    """Euclidean distances of random points, rescaled and then perturbed.
+    """Metrics of random points, rescaled and then perturbed.
 
     Sizes sit on both sides of the block edges; dim 1 puts every triple on
     the equality case; rescaling up to 1.7e308 makes pair sums overflow.
-    Perturbations are multiples of the check's slack, so they fall on both
-    sides of it.
+    Besides Euclidean distances there are metrics that embed in no R^r of
+    low rank: l1 distances, their square roots, and the shortest paths of a
+    connected graph with random edge weights.  Perturbations are multiples
+    of the check's slack, so they fall on both sides of it.
     """
     n = draw(st.sampled_from([1, 2, 63, 64, 65, 130]))
     dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["euclidean", "l1", "sqrt", "graph"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pts = rng.uniform(-1.0, 1.0, size=(n, dim))
     diff = pts[:, None, :] - pts[None, :, :]
-    d = np.abs(diff[..., 0]) if dim == 1 else np.sqrt((diff * diff).sum(axis=2))
+    if dim == 1 or kind == "l1":
+        d = np.abs(diff).sum(axis=2)
+    else:
+        d = np.sqrt((diff * diff).sum(axis=2))
+    if kind == "sqrt":
+        d = np.sqrt(d)
+    elif kind == "graph":
+        edges = np.triu(rng.random((n, n)) < 0.1, 1) | np.eye(n, k=1, dtype=bool)
+        w = np.where(edges | edges.T, rng.uniform(0.1, 1.0, size=(n, n)), np.inf)
+        d = shortest_paths(np.minimum(w, w.T))
     top = draw(st.sampled_from([None, 1e300, 1.7e308]))
     if top is not None and n > 1:
         d = d / d.max() * top
@@ -180,6 +215,111 @@ class TestTriangleCheck:
             d[i, k] = d[k, i] = 2.0 * d[i, k]
         reports = {triangle_report(d) for _ in range(20)}
         assert reports == {(2, 1, 5)}
+
+
+class TestTriangleScanAlone(TestTriangleCheck):
+    """TestTriangleCheck and the triangle cases of TestConstruction with the
+    embedding proof declining, so that the scan alone decides every case."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def no_proof(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(finite, "_embeds", lambda d, slack: False)
+            yield
+
+    test_rejects_triangle_violation = TestConstruction.test_rejects_triangle_violation
+    test_collinear_points_pass_triangle_check = (
+        TestConstruction.test_collinear_points_pass_triangle_check)
+    test_point_cloud_with_a_raised_pair_is_rejected = (
+        TestConstruction.test_point_cloud_with_a_raised_pair_is_rejected)
+    test_long_collinear_grid_passes_triangle_check = (
+        TestConstruction.test_long_collinear_grid_passes_triangle_check)
+
+    # Hypothesis runs a test function for one class only, so the inherited
+    # body is wrapped again here.
+    @settings(max_examples=200, deadline=None)
+    @given(d=perturbed_metrics(), block=st.sampled_from([64, 5]))
+    def test_agrees_with_the_naive_scan(self, d, block):
+        inner = TestTriangleCheck.test_agrees_with_the_naive_scan.hypothesis.inner_test
+        inner(self, d, block)
+
+
+def proof_slack(d):
+    """The slack _check_triangle hands the embedding proof, and about the
+    proof's eta: the bound it takes 0.99 of."""
+    slack = 1e-12 * (1.0 + float(d.max()))
+    return slack, (slack - 4 * 2.0**-53 * float(d.max())) / 3
+
+
+@st.composite
+def near_euclidean(draw):
+    """Euclidean distances of random points in up to 3 dimensions, rescaled up
+    to 1.7e308, with pairs moved by multiples near 1 of the embedding proof's
+    eta or of the slack: on both sides of what the proof and the scan allow."""
+    n = draw(st.sampled_from([16, 63, 64, 65, 130]))
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-1.0, 1.0, size=(n, dim))
+    diff = pts[:, None, :] - pts[None, :, :]
+    d = np.sqrt((diff * diff).sum(axis=2))
+    top = draw(st.sampled_from([None, 1e-300, 1e300, 1.7e308]))
+    if top is not None:
+        d = d / d.max() * top
+    np.fill_diagonal(d, 0.0)
+    slack, eta = proof_slack(d)
+    for _ in range(draw(st.integers(0, 3))):
+        i, k = rng.choice(n, size=2, replace=False)
+        unit = draw(st.sampled_from([eta, slack]))
+        c = draw(st.sampled_from([-1.5, -1.0, -0.5, 0.25, 0.5, 0.9, 1.0, 1.1, 1.5, 3.0]))
+        d[i, k] = d[k, i] = min(max(float(d[i, k]) + c * unit, 0.0), np.finfo(float).max)
+    return d
+
+
+class TestEmbeddingProof:
+    @settings(max_examples=300, deadline=None)
+    @given(d=near_euclidean(), block=st.sampled_from([64, 5]))
+    def test_a_proved_matrix_passes_the_naive_scan(self, d, block):
+        slack, _ = proof_slack(d)
+        with mock.patch.object(finite, "_TRIANGLE_BLOCK", block):
+            proved = finite._embeds(d, slack)
+        if proved:
+            assert not naive_triangle_violations(d)[0].any()
+
+    @pytest.mark.parametrize("n,dim,top", [
+        (16, 1, None), (64, 4, None), (400, 2, None), (800, 6, None),
+        (200, 3, 1e-300), (200, 3, 1e-310), (200, 3, 1.7e308),
+    ])
+    def test_point_clouds_of_low_dimension_are_proved(self, n, dim, top):
+        d = random_euclidean(n, dim, seed=n).d
+        if top is not None:
+            d = d / d.max() * top
+        assert finite._embeds(d, proof_slack(d)[0])
+
+    @pytest.mark.parametrize("fraction,proved", [(0.25, True), (0.5, False), (1.0, False)])
+    def test_a_pair_raised_past_eta_is_refused(self, fraction, proved):
+        d = random_euclidean(200, 2, seed=3).d.copy()
+        slack, eta = proof_slack(d)
+        d[5, 150] = d[150, 5] = d[5, 150] + fraction * slack
+        assert finite._embeds(d, slack) is proved
+        assert not naive_triangle_violations(d)[0].any()
+
+    def test_metrics_that_embed_in_no_low_dimension_are_declined(self):
+        pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(200, 2))
+        l1 = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+        snowflake = np.sqrt(random_euclidean(200, 2, seed=4).d)
+        for d in (l1, snowflake, random_euclidean(200, 20, seed=4).d):
+            assert not finite._embeds(d, proof_slack(d)[0])
+
+    def test_fewer_than_sixteen_points_are_left_to_the_scan(self):
+        d = random_euclidean(15, 1, seed=5).d
+        assert not finite._embeds(d, proof_slack(d)[0])
+
+    def test_a_proved_matrix_takes_no_scan(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(finite, "_triangle_block", fail)
+        FiniteMetricSpace(random_euclidean(300, 3, seed=6).d)
 
 
 class TestSimilarity:
@@ -597,11 +737,25 @@ class TestWorkingSet:
     """The n x n arrays a dense call holds, counted by tracemalloc at n = 300.
 
     Reading holds the parsed matrix and the constructor's copy; the triangle
-    check's row blocks are about 1.3 more at this n.  Solving holds the
+    check's row blocks are about 1.3 more at this n, where it scans.  The
+    constructor's other checks hold row blocks only.  Solving holds the
     similarity matrix, factored in place, and blocks of its rows.
     """
 
     n = 300
+
+    def test_constructing(self):
+        d = random_euclidean(self.n, seed=7).d
+        FiniteMetricSpace(d, check_triangle=False)
+        tracemalloc.start()
+        try:
+            X = FiniteMetricSpace(d, check_triangle=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert X.d.tobytes() == d.tobytes()
+        # The copy of the distances; an n x n boolean mask would add 0.125.
+        assert peak < 1.1 * 8 * self.n**2
 
     def test_reading(self, tmp_path):
         path = tmp_path / "d.csv"
