@@ -50,9 +50,6 @@ from ._numeric import (
 )
 from .errors import IllConditionedFit, MagnitudeError, NonFiniteResult
 
-#: Environment variable overriding the default tolerance of every subcommand.
-TOL_ENV_VAR = "MAGNITUDE_DEFAULT_TOL"
-
 #: The thread-count variables OpenBLAS reads when it loads; a user who sets
 #: any of them keeps OpenBLAS's own choice.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -73,28 +70,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _tolerance(tol: float | None, fallback: float) -> float:
-    """tol (from --tol or a sweep's tol=), else MAGNITUDE_DEFAULT_TOL, else
-    fallback; one that is given must be positive and finite."""
-    name = "--tol"
-    if tol is None:
-        raw = os.environ.get(TOL_ENV_VAR)
-        if raw is None:
-            return fallback
-        try:
-            tol = float(raw)
-        except ValueError:
-            raise ValueError(f"{TOL_ENV_VAR}={raw!r} is not a number") from None
-        name = TOL_ENV_VAR
-    return positive_finite(tol, name)
-
-
 def _quad_config(tol: float | None) -> QuadratureConfig:
-    return QuadratureConfig(rel_tol=_tolerance(tol, DEFAULT_CONFIG.rel_tol))
+    return DEFAULT_CONFIG if tol is None else QuadratureConfig(tol)
 
 
 def _solver_tol(tol: float | None) -> float:
-    return _tolerance(tol, DEFAULT_TOL)
+    return DEFAULT_TOL if tol is None else tol
 
 
 def _cmd_finite(args) -> int:
@@ -398,8 +379,7 @@ def parse_sweep_spec(path):
 
     The file is flat key=value lines.  After its checks come those of the
     setup, in this order: a sweep too large for the available memory is
-    refused, the finite-file matrix is read, and a malformed
-    MAGNITUDE_DEFAULT_TOL is rejected even where the method ignores it.
+    refused, then the finite-file matrix is read.
     A linear grid is np.linspace's, bit for bit; a geometric one is
     np.geomspace's formula on libm (see _numeric.geomspace), so an interior
     point may differ from numpy's in its last bits.
@@ -476,7 +456,6 @@ def parse_sweep_spec(path):
         from . import finite
 
         loaded = finite.read_distance_matrix(matrix)
-    _solver_tol(tol)  # a malformed MAGNITUDE_DEFAULT_TOL exits 2 even where the method ignores it
     grid = (linspace if scale == "linear" else geomspace)(start, stop, points)
     return space, _PARAM_NAMES[space], method, grid, lambda x: evaluator(x, dim, n, tol, loaded)
 
@@ -514,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("finite", help="magnitude of a distance-matrix CSV file")
     p.add_argument("--matrix", required=True, help="square distance-matrix CSV")
-    p.add_argument("--tol", type=float, default=None, help="solver tolerance (default 1e-10)")
+    p.add_argument("--tol", type=float, default=None, help=f"rcond floor of the solve (default {DEFAULT_TOL:g})")
     p.set_defaults(func=_cmd_finite)
 
     p = sub.add_parser("interval", help="magnitude 1 + L/2 of a closed interval")
@@ -528,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--series", action="store_true", help="tail-bounded series sum")
     mode.add_argument("--iterative", action="store_true", help="finite removal depth")
-    p.add_argument("--tol", type=float, default=None, help="series truncation bound")
+    p.add_argument("--tol", type=float, default=None,
+                   help=f"truncation bound, --series only (default {DEFAULT_TOL:g})")
     p.add_argument("--depth", type=int, default=None, help="removal rounds for --iterative")
     p.set_defaults(func=_cmd_cantor)
 
@@ -543,7 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--metric", choices=("intrinsic", "subspace"), default="intrinsic")
     p.add_argument("--method", choices=("closed", "quadrature"), default="closed")
-    p.add_argument("--tol", type=float, default=None, help="quadrature relative tolerance")
+    p.add_argument("--tol", type=float, default=None,
+                   help=f"relative tolerance, --method quadrature only (default {DEFAULT_CONFIG.rel_tol:g})")
     p.set_defaults(func=_cmd_sphere)
 
     p = sub.add_parser("asymptotics", help="extracted vs predicted expansion coefficients")
@@ -552,7 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", type=int, required=True)
     p.add_argument("--tmin", type=float, required=True)
     p.add_argument("--tmax", type=float, required=True)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None,
+                   help=f"quadrature relative tolerance, --metric subspace only (default {DEFAULT_CONFIG.rel_tol:g})")
     p.set_defaults(func=_cmd_asymptotics)
 
     p = sub.add_parser("tube-check", help="both sides of the tube-volume identity")
@@ -570,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    """Parse argv (without the program name) and execute; returns the exit code."""
+    """Parse argv (without the program name), check --tol and run; returns the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -578,6 +560,8 @@ def run(argv) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
+        if getattr(args, "tol", None) is not None:
+            positive_finite(args.tol, "--tol")
         return args.func(args)
     except (MagnitudeError, ValueError, OSError, MemoryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

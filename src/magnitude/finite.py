@@ -21,9 +21,9 @@ import numpy as np
 from ._numeric import DEFAULT_TOL, Frozen, positive_finite
 from .errors import NonpositiveLength, NonpositiveScale, NotHomogeneous, SingularSystem
 
-#: Rows per block of the triangle check and of its embedding proof; a block
-#: works in arrays of _TRIANGLE_BLOCK x n doubles.
-_TRIANGLE_BLOCK = 64
+#: Rows per block of the triangle check, its embedding proof, the residual and
+#: the point-cloud distances; a block works in arrays of _ROW_BLOCK x n doubles.
+_ROW_BLOCK = 64
 
 #: Rows per block of the symmetry check.  Comparing rows with transposed
 #: columns, numpy buffers both operands, up to 8192 doubles each, so a block
@@ -48,12 +48,6 @@ _GRAM_FLOOR = 2.0**-45
 #: difference by as much, so a distance of r coordinates moves by at most
 #: sqrt(r 2^-1074) + 2^-1075, below 2^-500 for any r < 2^70.
 _SUBNORMAL = 2.0**-500
-
-#: Rows of the similarity matrix per block of the weight-equation residual.
-_RESIDUAL_BLOCK = 64
-
-#: Rows per block of the point-cloud distances.
-_CLOUD_BLOCK = 64
 
 
 class FiniteMetricSpace:
@@ -141,7 +135,7 @@ def _check_triangle(d):
     d must already be symmetric.  When _embeds proves that the naive scan
     over all (i, j, k) accepts d, which it does for the distances of point
     clouds in few dimensions, the check returns at once.  Otherwise the rows
-    are split into blocks of _TRIANGLE_BLOCK, and each block takes a
+    are split into blocks of _ROW_BLOCK, and each block takes a
     min-plus product over its part of the upper triangle.  The blocks run on
     one thread per CPU the process may use; numpy releases the GIL inside
     the ufuncs.  The message names the first violated pair (i, k), k > i, in
@@ -154,7 +148,7 @@ def _check_triangle(d):
     slack = 1e-12 * (1.0 + float(d.max()))
     if _embeds(d, slack):
         return
-    starts = range(0, d.shape[0], _TRIANGLE_BLOCK)
+    starts = range(0, d.shape[0], _ROW_BLOCK)
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -181,7 +175,7 @@ def _check_triangle(d):
 
 
 def _triangle_block(d, i0, slack):
-    """First pair (i, k) of rows i0 .. i0 + _TRIANGLE_BLOCK - 1, k >= i0, in
+    """First pair (i, k) of rows i0 .. i0 + _ROW_BLOCK - 1, k >= i0, in
     row-major order with d[i,k] > d[i,j] + d[j,k] + slack for some j, or None.
 
     For each column k >= i0 it forms shortest[k - i0, i - i0] = min over j
@@ -192,7 +186,7 @@ def _triangle_block(d, i0, slack):
     k > i, and the columns k < i0 repeat earlier blocks.
     """
     n = d.shape[0]
-    rows = d[i0:i0 + _TRIANGLE_BLOCK]
+    rows = d[i0:i0 + _ROW_BLOCK]
     shortest = np.empty((n - i0, len(rows)))
     tmp = np.empty_like(rows)
     # errstate is per thread, so it is set here and not by the caller.
@@ -231,7 +225,7 @@ def _embeds(d, slack) -> bool:
     _gram_points forms L a column at a time.  The points need not be
     accurate: only the verification enters the proof.
 
-    Verification.  For each block of _TRIANGLE_BLOCK rows, over its columns
+    Verification.  For each block of _ROW_BLOCK rows, over its columns
     from the block's first row on (d is symmetric), the distances
     e_ij = sqrt(sum_s (x_is - x_js)^2) are formed in this difference form,
     since |x_i|^2 - 2 x_i . x_j + |x_j|^2 would cancel.  Rounded, the r
@@ -266,8 +260,8 @@ def _embeds(d, slack) -> bool:
         if x is None:
             return False
         rounding = (len(x) / 2 + 3) * _U
-        for i0 in range(0, n, _TRIANGLE_BLOCK):
-            i1 = min(i0 + _TRIANGLE_BLOCK, n)
+        for i0 in range(0, n, _ROW_BLOCK):
+            i1 = min(i0 + _ROW_BLOCK, n)
             dist = np.zeros((i1 - i0, n - i0))
             tmp = np.empty_like(dist)
             for xs in x:
@@ -371,7 +365,7 @@ def weighting(X: FiniteMetricSpace, tol: float = DEFAULT_TOL, t: float = 1.0) ->
     weighting(scale(X, t)) without a scaled copy of X.d.  Besides X.d the
     solve holds one n x n array: the similarity matrix, built in place and
     then overwritten by its LU factors.  The residual is formed from X.d in
-    blocks of _RESIDUAL_BLOCK rows.
+    blocks of _ROW_BLOCK rows.
 
     Raises
     ------
@@ -431,12 +425,12 @@ def weighting(X: FiniteMetricSpace, tol: float = DEFAULT_TOL, t: float = 1.0) ->
 
 
 def _residual(d, t, w):
-    """Z w - 1 for Z = exp(d * (-t)), with Z built _RESIDUAL_BLOCK rows at a time."""
+    """Z w - 1 for Z = exp(d * (-t)), with Z built _ROW_BLOCK rows at a time."""
     n = d.shape[0]
     out = np.empty(n)
-    buffer = np.empty((min(n, _RESIDUAL_BLOCK), n))
-    for i0 in range(0, n, _RESIDUAL_BLOCK):
-        block = d[i0:i0 + _RESIDUAL_BLOCK]
+    buffer = np.empty((min(n, _ROW_BLOCK), n))
+    for i0 in range(0, n, _ROW_BLOCK):
+        block = d[i0:i0 + _ROW_BLOCK]
         rows = buffer[:len(block)]
         np.multiply(block, -t, out=rows)
         np.exp(rows, out=rows)
@@ -736,16 +730,16 @@ def read_distance_matrix(path) -> FiniteMetricSpace:
 def read_point_cloud(path) -> FiniteMetricSpace:
     """Load a Euclidean point cloud from CSV: one point per line.
 
-    The distances sqrt(sum((a - b)^2)) are formed _CLOUD_BLOCK rows at a
-    time, so the work arrays hold _CLOUD_BLOCK x n x dim doubles.
+    The distances sqrt(sum((a - b)^2)) are formed _ROW_BLOCK rows at a
+    time, so the work arrays hold _ROW_BLOCK x n x dim doubles.
     """
     arr = _read_rows(path, square=False)
     n = arr.shape[0]
     d = np.empty((n, n))
-    for i0 in range(0, n, _CLOUD_BLOCK):
-        diff = arr[i0:i0 + _CLOUD_BLOCK, None, :] - arr[None, :, :]
+    for i0 in range(0, n, _ROW_BLOCK):
+        diff = arr[i0:i0 + _ROW_BLOCK, None, :] - arr[None, :, :]
         diff *= diff
-        diff.sum(axis=2, out=d[i0:i0 + _CLOUD_BLOCK])
+        diff.sum(axis=2, out=d[i0:i0 + _ROW_BLOCK])
     np.sqrt(d, out=d)
     np.fill_diagonal(d, 0.0)
     # Euclidean distances satisfy the triangle inequality by construction, so

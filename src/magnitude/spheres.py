@@ -323,14 +323,22 @@ def penguin_valuation_sphere(n: int, R: float) -> float:
     n = at_least(n, 0, "n")
     positive_finite(R, "radius")
     return sum(
-        intrinsic_volume_sphere(i, n, R) / (math.factorial(i) * omega(i))
+        intrinsic_volume_sphere(i, n, R) / (_float_factorial(i) * omega(i))
         for i in range(n + 1)
     )
 
 
+def _float_factorial(n: int) -> float:
+    """n! as a double; past 170!, the last below the double maximum, the
+    OverflowError comes at once, not after building the exact integer."""
+    if n > 170:
+        raise OverflowError(f"{n}! is past the double range")
+    return float(math.factorial(n))
+
+
 def volume_coefficient(n: int) -> float:
     """Volume term sigma_n / (n! omega_n): the R^n coefficient of |S^n_R|."""
-    return sigma(n) / (math.factorial(n) * omega(n))
+    return sigma(n) / (_float_factorial(n) * omega(n))
 
 
 def curvature_coefficient(n: int) -> float:
@@ -338,7 +346,7 @@ def curvature_coefficient(n: int) -> float:
     return (
         (n + 1)
         * intrinsic_volume_sphere(n - 2, n, 1.0)
-        / (3.0 * math.factorial(n - 1) * omega(n - 2))
+        / (3.0 * _float_factorial(n - 1) * omega(n - 2))
     )
 
 

@@ -11,7 +11,7 @@ import textwrap
 import pytest
 
 from magnitude import cli, errors
-from magnitude.cli import CSV_HEADER, EVALUATORS, TOL_ENV_VAR, parse_sweep_spec, run
+from magnitude.cli import CSV_HEADER, EVALUATORS, parse_sweep_spec, run
 
 
 def run_cli(capsys, *argv):
@@ -169,19 +169,28 @@ class TestFinite:
             outputs.add(proc.stdout)
         assert len(outputs) == 1
 
-    def test_env_var_overrides_default_tol(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv(TOL_ENV_VAR, raising=False)
+    def test_tol_flag_lowers_the_rcond_floor(self, capsys, tmp_path):
         p = tmp_path / "d.csv"
         d = 2.2e-11
         p.write_text(f"0,{d}\n{d},0\n")
         code, _, err = run_cli(capsys, "finite", "--matrix", str(p))
         assert code == 3  # rcond ~ 1e-11 is below the default 1e-10
-        monkeypatch.setenv(TOL_ENV_VAR, "1e-13")
-        code, out, _ = run_cli(capsys, "finite", "--matrix", str(p))
+        code, out, _ = run_cli(capsys, "finite", "--matrix", str(p), "--tol", "1e-13")
         assert code == 0
 
 
 class TestAsymptoticsCommand:
+    @pytest.mark.parametrize("metric", ["intrinsic", "subspace"])
+    def test_dims_past_170_fail_before_building_their_factorial(self, capsys, monkeypatch, metric):
+        # n! is past the double range from n = 171 on; building the exact
+        # integer before converting it took seconds at dim 10^6.
+        factorial = math.factorial
+        monkeypatch.setattr(math, "factorial", lambda n: factorial(n) if n <= 170 else pytest.fail(f"{n}! built"))
+        code, out, err = run_cli(capsys, "asymptotics", "--dim", "1000000", "--metric", metric,
+                                 "--orders", "1", "--tmin", "10", "--tmax", "80")
+        assert (code, out) == (3, "")
+        assert err.startswith("NonFiniteResult: ")
+
     def test_intrinsic_surface(self, capsys):
         code, out, _ = run_cli(
             capsys, "asymptotics", "--dim", "2", "--metric", "intrinsic",
@@ -418,25 +427,26 @@ class TestGuard:
 
 
 class TestTolerance:
-    """One check: a tolerance from --tol, a sweep's tol= or the environment
-    variable is positive and finite, else exit 2."""
+    """A tolerance comes only from --tol or a sweep's tol=, and one that is
+    given is positive and finite, else exit 2, also where the route ignores it."""
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-9"])
     @pytest.mark.parametrize("argv", [
         ("cantor", "--length", "1", "--series"),
         ("sphere", "--dim", "2", "--radius", "1", "--method", "quadrature"),
-        ("asymptotics", "--dim", "3", "--metric", "subspace", "--orders", "2",
-         "--tmin", "20", "--tmax", "80"),
-    ], ids=lambda argv: argv[0])
-    def test_flag(self, capsys, monkeypatch, argv, tol):
-        monkeypatch.delenv(TOL_ENV_VAR, raising=False)
+        ("asymptotics", "--dim", "3", "--metric", "subspace", "--orders", "2", "--tmin", "20", "--tmax", "80"),
+        # Routes that take no tolerance.
+        ("sphere", "--dim", "2", "--radius", "1"),
+        ("asymptotics", "--dim", "2", "--orders", "3", "--tmin", "10", "--tmax", "80"),
+        ("cantor", "--length", "1", "--iterative", "--depth", "3"),
+    ], ids=["cantor", "sphere", "asymptotics", "sphere-closed", "asymptotics-intrinsic", "cantor-iterative"])
+    def test_flag(self, capsys, argv, tol):
         code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
         assert code == 2
         assert out == ""
         assert err.startswith("ValueError: --tol must be positive and finite")
 
-    def test_flag_of_finite(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.delenv(TOL_ENV_VAR, raising=False)
+    def test_flag_of_finite(self, capsys, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("0,1\n1,0\n")
         code, out, err = run_cli(capsys, "finite", "--matrix", str(p), "--tol", "inf")
@@ -445,8 +455,7 @@ class TestTolerance:
         assert err.startswith("ValueError: --tol must be positive and finite")
 
     @pytest.mark.parametrize("method", ["closed", "finite-4"])
-    def test_sweep_spec(self, capsys, monkeypatch, tmp_path, method):
-        monkeypatch.delenv(TOL_ENV_VAR, raising=False)
+    def test_sweep_spec(self, capsys, tmp_path, method):
         spec = tmp_path / "sweep.spec"
         spec.write_text(f"space=cantor\nmethod={method}\nstart=1\nstop=2\npoints=2\ntol=inf\n")
         out = tmp_path / "out.csv"
@@ -455,18 +464,30 @@ class TestTolerance:
         assert err.startswith("ValueError: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("raw", ["inf", "nan", "0"])
-    def test_environment_variable(self, capsys, monkeypatch, tmp_path, raw):
-        monkeypatch.setenv(TOL_ENV_VAR, raw)
-        code, out, err = run_cli(capsys, "cantor", "--length", "1", "--series")
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"ValueError: {TOL_ENV_VAR} must be positive and finite")
-        spec = tmp_path / "sweep.spec"
+    @pytest.mark.parametrize("value", ["abc", "1e-6"])
+    def test_no_environment_variable_changes_the_output(self, capsys, monkeypatch, tmp_path, value):
+        spec, out = tmp_path / "sweep.spec", tmp_path / "out.csv"
         spec.write_text("space=interval\nmethod=closed\nstart=1\nstop=2\npoints=2\n")
-        code, _, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(tmp_path / "o.csv"))
-        assert code == 2
-        assert err.startswith("ValueError: ")
+
+        def outputs():
+            out.unlink(missing_ok=True)
+            return (run_cli(capsys, "cantor", "--length", "1", "--series"),
+                    run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out)), out.read_bytes())
+
+        expected = outputs()
+        assert expected[0][0] == expected[1][0] == 0
+
+        class EveryVariable(dict):
+            def get(self, name, default=None):
+                return value
+
+            __getitem__ = get
+
+            def __contains__(self, name):
+                return True
+
+        monkeypatch.setattr(os, "environ", EveryVariable())  # in which every variable reads value
+        assert outputs() == expected
 
 
 class TestSweep:

@@ -4,6 +4,9 @@ an option error of `asymptotics`, its CSV header.  `finite` reads drawn
 distance files and `sweep` drawn spec files; a sweep prints nothing, writes
 its CSV of finite numbers only on success, and leaves no CSV on failure.
 
+`finite`, `cantor`, `sphere` and `asymptotics` draw a --tol too; one that is
+not positive and finite exits 2 with nothing on stdout, also where unused.
+
 `asymptotics` is drawn on doubling grids of at most 13 points, also ones
 that end at the top of the double range, where tmax (1 + 1e-12) overflows;
 longer grids to the top are left to test_cli.py, and an infinite tmax to its
@@ -29,6 +32,9 @@ DIMS = st.integers(-1, 8) | st.integers(9, 5000)
 # The largest double, and the smallest tmax whose 1 + 1e-12 margin overflows.
 TOP_OF_RANGE = st.sampled_from([sys.float_info.max, 1.797693134860518e308])
 ASYMPTOTICS_HEADER = "power,extracted,predicted,spread"
+# No --tol, any double, or one of the values that are not positive and finite.
+TOLS = st.none() | FLOATS | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+TAKES_TOL = {"sphere", "cantor-series", "cantor-iterative", "asymptotics"}
 
 
 def opt(name, value):
@@ -82,14 +88,15 @@ ARGV = {
 
 
 @pytest.mark.parametrize("command", ARGV)
-def test_exit_code_and_output(command, monkeypatch):
-    monkeypatch.delenv("MAGNITUDE_DEFAULT_TOL", raising=False)
-
+def test_exit_code_and_output(command):
     @settings(derandomize=True, deadline=None)
-    @given(ARGV[command])
-    def check(argv):
+    @given(ARGV[command], TOLS if command in TAKES_TOL else st.none())
+    def check(argv, tol):
+        argv = argv + ([] if tol is None else [opt("tol", tol)])
         code, out, err = run_captured(argv)
         assert code in (0, 2, 3), (argv, err)
+        if tol is not None and not 0.0 < tol < math.inf:
+            assert (code, out) == (2, ""), argv
         lines = out.splitlines()
         if command == "asymptotics" and code != 3 and lines:
             assert lines.pop(0) == ASYMPTOTICS_HEADER, argv
@@ -137,17 +144,18 @@ def distance_files(draw):
     return "\n".join(map(",".join, lines)) + draw(st.sampled_from(["", "\n"]))
 
 
-def test_finite_reads_drawn_distance_files(tmp_path, monkeypatch):
-    monkeypatch.delenv("MAGNITUDE_DEFAULT_TOL", raising=False)
+def test_finite_reads_drawn_distance_files(tmp_path):
     path = tmp_path / "d.csv"
 
     @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(distance_files(), st.none() | FLOATS)
+    @given(distance_files(), TOLS)
     def check(text, tol):
         path.write_text(text)
         argv = ["finite", "--matrix", str(path)] + ([] if tol is None else [opt("tol", tol)])
         code, out, err = run_captured(argv)
         assert code in (0, 2, 3), (text, argv, err)
+        if tol is not None and not 0.0 < tol < math.inf:
+            assert (code, out) == (2, ""), (text, argv)
         if code == 0:
             fields = out.strip().split(",")
             assert len(fields) == 2 and all(math.isfinite(float(f)) for f in fields), (text, out)
@@ -190,8 +198,7 @@ def sweep_specs(draw):
     return draw(st.permutations(lines))
 
 
-def test_sweep_runs_drawn_specs(tmp_path, monkeypatch):
-    monkeypatch.delenv("MAGNITUDE_DEFAULT_TOL", raising=False)
+def test_sweep_runs_drawn_specs(tmp_path):
     spec, matrix, csv_path = tmp_path / "sweep.spec", tmp_path / "d.csv", tmp_path / "out.csv"
 
     @settings(derandomize=True, deadline=None, max_examples=300)

@@ -22,16 +22,14 @@ import contextlib
 import io
 import json
 import math
-import os
 import pathlib
 import sys
 import tempfile
 from dataclasses import dataclass
-from unittest import mock
 
 import pytest
 
-from magnitude.cli import TOL_ENV_VAR, run
+from magnitude.cli import run
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
 
@@ -48,7 +46,6 @@ class Case:
     argv: tuple = ()
     spec: str | None = None  # sweep file text; argv becomes `sweep --spec ... --out ...`
     solve: bool = False  # output passes through the dense LU solve
-    env_tol: str | None = None
 
 
 CASES = [
@@ -77,8 +74,8 @@ CASES = [
     Case("sweep-interval-finite", spec="space=interval\nmethod=finite-64\nstart=1\nstop=2\npoints=3\n"),
     Case("sweep-cantor-closed", spec="space=cantor\nmethod=closed\nstart=0.5\nstop=4\npoints=4\n"
          "tol=1e-12\n"),
-    Case("sweep-cantor-closed-env-tol", spec="space=cantor\nmethod=closed\nstart=1\nstop=3\n"
-         "points=3\n", env_tol="1e-6"),
+    Case("sweep-cantor-closed-coarse-tol", spec="space=cantor\nmethod=closed\nstart=1\nstop=3\n"
+         "points=3\ntol=1e-6\n"),
     Case("sweep-cantor-finite", spec="space=cantor\nmethod=finite-6\nstart=1\nstop=3\npoints=3\n"),
     Case("sweep-circle-closed", spec="space=circle\nmethod=closed\nstart=1\nstop=10\npoints=4\n"
          "scale=geometric\n"),
@@ -117,9 +114,7 @@ CASES = [
     Case("negative-length", ("interval", "--length", "-1")),
     Case("negative-circumference-sweep", spec="space=circle\nmethod=closed\nstart=-1\nstop=2\n"
          "points=2\n"),
-    Case("bad-env-tol-sweep", spec="space=interval\nmethod=closed\nstart=1\nstop=2\npoints=2\n",
-         env_tol="abc"),
-    Case("bad-env-tol-unused", ("interval", "--length", "1"), env_tol="abc"),
+    Case("bad-tol-sphere-closed", ("sphere", "--dim", "2", "--radius", "1", "--tol", "nan")),
     Case("missing-matrix", ("finite", "--matrix", "{tmp}/missing.csv")),
     Case("missing-spec", ("sweep", "--spec", "{tmp}/missing.spec", "--out", "{tmp}/out.csv")),
     Case("triangle-violation", ("finite", "--matrix", "{tmp}/triangle.csv")),
@@ -141,12 +136,8 @@ def invoke(case: Case, tmp: pathlib.Path) -> dict:
     if case.spec is not None:
         (tmp / "sweep.spec").write_text(case.spec.replace("{tmp}", str(tmp)))
         argv = ["sweep", "--spec", str(tmp / "sweep.spec"), "--out", str(tmp / "out.csv")]
-    env = {key: value for key, value in os.environ.items() if key != TOL_ENV_VAR}
-    if case.env_tol is not None:
-        env[TOL_ENV_VAR] = case.env_tol
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, env, clear=True), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     csv_path = tmp / "out.csv"
     return {

@@ -185,7 +185,7 @@ class TestTriangleCheck:
     def test_agrees_with_the_naive_scan(self, d, block):
         flagged, first_j = naive_triangle_violations(d)
         upper = np.argwhere(np.triu(flagged, 1))
-        with mock.patch.object(finite, "_TRIANGLE_BLOCK", block):
+        with mock.patch.object(finite, "_ROW_BLOCK", block):
             report = triangle_report(d)
         if len(upper) == 0:
             assert report is None
@@ -201,14 +201,14 @@ class TestTriangleCheck:
     def test_witness_in_an_earlier_block(self, monkeypatch):
         # Point 0 is the only point between points 20 and 21, whose block
         # starts at row 20.
-        monkeypatch.setattr(finite, "_TRIANGLE_BLOCK", 4)
+        monkeypatch.setattr(finite, "_ROW_BLOCK", 4)
         xs = np.concatenate([[0.5], np.linspace(0.0, 0.4, 20), np.linspace(0.6, 1.0, 20)])
         d = np.abs(xs[:, None] - xs[None, :])
         d[20, 21] = d[21, 20] = d[20, 21] + 1e-6
         assert triangle_report(d) == (20, 0, 21)
 
     def test_message_does_not_depend_on_thread_timing(self, monkeypatch):
-        monkeypatch.setattr(finite, "_TRIANGLE_BLOCK", 4)
+        monkeypatch.setattr(finite, "_ROW_BLOCK", 4)
         xs = np.linspace(0.0, 1.0, 40)
         d = np.abs(xs[:, None] - xs[None, :])
         for i, k in [(33, 38), (21, 30), (9, 17), (2, 5)]:
@@ -280,7 +280,7 @@ class TestEmbeddingProof:
     @given(d=near_euclidean(), block=st.sampled_from([64, 5]))
     def test_a_proved_matrix_passes_the_naive_scan(self, d, block):
         slack, _ = proof_slack(d)
-        with mock.patch.object(finite, "_TRIANGLE_BLOCK", block):
+        with mock.patch.object(finite, "_ROW_BLOCK", block):
             proved = finite._embeds(d, slack)
         if proved:
             assert not naive_triangle_violations(d)[0].any()
