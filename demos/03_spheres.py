@@ -8,13 +8,14 @@ coefficients encode geometry: volume at the top, Euler characteristic at
 the bottom, total scalar curvature just below the top.
 """
 
+import math
+
 import numpy as np
 
 from magnitude import (
     P_polynomial,
     intrinsic_volume_sphere,
     omega,
-    penguin_valuation_sphere,
     sigma,
     sphere_magnitude_closed,
     sphere_magnitude_quadrature,
@@ -34,10 +35,10 @@ def main():
 
     print("\nNumerator polynomial P of the 4-sphere (denominator -> 1 fast):")
     poly = P_polynomial(4)
-    print(f"  coefficients (power, value) = {poly.coeffs}")
+    print(f"  coefficients (power, value) = {poly.terms}")
     lead = sigma(4) / (24 * omega(4))
     print(f"  leading  = Vol(S^4_1)/(4! w_4) = {lead:.15f}")
-    print(f"  constant = Euler characteristic = {poly.constant_term}")
+    print(f"  constant = Euler characteristic = {poly.coefficient(0)}")
     print(f"  R^2 term = (5/9) mu_2(S^4_1)/w_2 ... = {poly.coefficient(2):.15f}")
     for R in (5.0, 10.0):
         gap = abs(sphere_magnitude_closed(4, R) - poly(R)) / poly(R)
@@ -52,8 +53,11 @@ def main():
     print("\nValuation sum_i mu_i/(i! w_i) vs the magnitude polynomial:")
     for n in (2, 3):
         R = 2.0
+        valuation = sum(
+            intrinsic_volume_sphere(i, n, R) / (math.factorial(i) * omega(i)) for i in range(n + 1)
+        )
         print(
-            f"  n = {n}: valuation {penguin_valuation_sphere(n, R):.12f}"
+            f"  n = {n}: valuation {valuation:.12f}"
             f"  vs P(R) {P_polynomial(n)(R):.12f}"
             f"  (equal for n = 2, subdominant term differs for n = 3)"
         )

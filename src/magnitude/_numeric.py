@@ -18,6 +18,10 @@ import math
 #: the dense solve), also the default truncation bound of the Cantor series.
 DEFAULT_TOL = 1e-10
 
+#: Unit roundoff of a double, u = 2^-53: a correctly rounded operation is
+#: within u of its exact result, relative to it.
+_U = 2.0**-53
+
 # Below this x / (1 - e^{-x}) is evaluated by its series.
 SERIES_CUTOFF = 1e-4
 

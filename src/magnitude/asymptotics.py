@@ -19,9 +19,9 @@ import math
 import operator
 import sys
 
-from ._numeric import DEFAULT_CONFIG, Frozen, QuadratureConfig, at_least
+from ._numeric import _U, DEFAULT_CONFIG, Frozen, QuadratureConfig, at_least
 from .errors import NonFiniteResult
-from .spheres import curvature_coefficient, sphere_magnitude_closed, volume_coefficient
+from .spheres import curvature_coefficient, volume_coefficient
 
 
 class AsymptoticExpansion(Frozen):
@@ -302,9 +302,6 @@ def subspace_ratio(n: int, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> 
     return magnitude / subspace_lead(n, R)
 
 
-#: Unit roundoff of a double.
-_U = 2.0**-53
-
 #: Relative error, per sample, that stands for the rounding of the fit itself.
 #: The fit strips each sample of at most two terms c_m t^m (those of
 #: extract_parity_expansion's deflation): t^m within one ulp, the product and
@@ -369,14 +366,3 @@ def extract_subspace_relative_correction(
     result = extract_subspace_expansion(lambda R: subspace_ratio(n, R, cfg), R_grid)
     return result.coefficient(-2), result.spreads[1]
 
-
-def surface_asymptotics_residual(R: float) -> float:
-    """Magnitude of the round 2-sphere minus its surface model 2 R^2 + 2.
-
-    For a homogeneous surface the model is area/(2 pi) t^2 + Euler
-    characteristic; for the round sphere the residual is exponentially
-    small in R.
-    """
-    if not R > 0.0:
-        raise ValueError(f"need R > 0, got {R}")
-    return sphere_magnitude_closed(2, R) - (2.0 * R * R + 2.0)

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from ._numeric import DEFAULT_TOL, Frozen, positive_finite
+from ._numeric import _U, DEFAULT_TOL, Frozen, positive_finite
 from .errors import NonpositiveLength, NonpositiveScale, NotHomogeneous, SingularSystem
 
 #: Rows per block of the triangle check, its embedding proof, the residual and
@@ -29,9 +29,6 @@ _ROW_BLOCK = 64
 #: columns, numpy buffers both operands, up to 8192 doubles each, so a block
 #: holds about 16 x _SYMMETRY_BLOCK x n bytes and one more byte per entry.
 _SYMMETRY_BLOCK = 8
-
-#: Unit roundoff of a double.
-_U = 2.0**-53
 
 #: Residual Gram diagonal below which the embedding proof takes no more
 #: coordinates.  Distances are scaled into [0, 1), so Gram entries are at

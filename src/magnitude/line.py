@@ -30,7 +30,7 @@ import math
 import operator
 from typing import TYPE_CHECKING
 
-from ._numeric import Frozen, at_least, linspace, positive_finite, tanh_minus_x, tanh_over_x
+from ._numeric import _U, Frozen, at_least, linspace, positive_finite, tanh_minus_x, tanh_over_x
 from .errors import (
     HypothesisViolated,
     NonpositiveLength,
@@ -116,7 +116,7 @@ def measure_total_mass(measure: LineWeightMeasure) -> float:
 #: measure_total_mass sums interval_weight_measure: the two atoms add to 1
 #: exactly and length/2 is exact (a subnormal length loses under 2^-1075),
 #: so the sum rounds once: u = 2^-53.
-INTERVAL_ROUNDING = 2.0**-53
+INTERVAL_ROUNDING = _U
 
 
 def interval_weight_measure(length: float) -> tuple[LineSubset, LineWeightMeasure]:
@@ -361,7 +361,7 @@ def finite_approx_line(space: LineSubset, n_grid: int) -> FiniteMetricSpace:
 
 
 #: Relative rounding bound of line_points_magnitude, derived in its docstring.
-_LINE_SUM_ROUNDING = 7.0 * 2.0**-53
+_LINE_SUM_ROUNDING = 7.0 * _U
 
 
 def line_points_magnitude(xs) -> tuple[float, float]:

@@ -164,23 +164,6 @@ def sphere_magnitude_quadrature(
     return K_integral(n, cfg) / I_integral(n, R, cfg)
 
 
-def recurrence_residuals(
-    n: int, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> tuple[float, float]:
-    """Residuals of the two induction identities linking n and n+2.
-
-    Returns ((n+1) K_{n+2} - n K_n, (n+1)((R/(n+1))^2 + 1) I_{n+2} - n I_n),
-    all four integrals computed by quadrature.
-    """
-    kn = K_integral(n, cfg)
-    kn2 = K_integral(n + 2, cfg)
-    iname = I_integral(n, R, cfg)
-    in2 = I_integral(n + 2, R, cfg)
-    k_res = (n + 1) * kn2 - n * kn
-    i_res = (n + 1) * ((R / (n + 1)) ** 2 + 1.0) * in2 - n * iname
-    return k_res, i_res
-
-
 def subspace_sphere_magnitude_quadrature(
     n: int, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> float:

@@ -1,14 +1,15 @@
-"""Closed-form sphere magnitudes, intrinsic volumes, and geometric checks.
+"""Closed-form sphere magnitudes, intrinsic volumes, and the tube-volume check.
 
 The magnitude of the n-sphere of radius R with the geodesic metric has a
 closed form: a polynomial P in R divided by 1 +- e^{-pi R}.  This module
 holds that formula, the closed forms of the circle, of an evenly spaced
 grid on the circle and of the 2-sphere with the chord metric, the
-polynomial itself with exactly expanded coefficients, the intrinsic volumes
-of round spheres, scalar curvature, and the tube-volume and geodesic-sphere
-identities used to validate them, with the rounding bounds of the sphere's
-and the circle grid's closed forms.  It needs only the standard library, so
-a closed-form call never imports numpy.
+polynomial itself with exactly expanded coefficients (as the asymptotic
+expansion of the magnitude), the intrinsic volumes of round spheres, scalar
+curvature, and the tube-volume identity that checks the intrinsic volumes,
+with the rounding bounds of the sphere's and the circle grid's closed
+forms.  It needs only the standard library, so a closed-form call never
+imports numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from functools import lru_cache
 
 from ._numeric import (
-    Frozen,
+    _U,
     at_least,
     half_x2_over_one_minus_one_plus_x_exp_neg,
     positive_finite,
@@ -110,13 +111,13 @@ def sphere_closed_rounding(n: int) -> float:
     also covers the second-order terms.  Times the value, it is the error
     estimate of a closed sphere-intrinsic sweep row.
     """
-    return (5 * (int(n) // 2) + 6) * 2.0**-53
+    return (5 * (int(n) // 2) + 6) * _U
 
 
 #: Relative rounding bound of circle_magnitude_closed: c/2 is exact (a
 #: subnormal c loses under 2^-1075) and x_over_one_minus_exp_neg is within
 #: 3u, u = 2^-53.
-CIRCLE_CLOSED_ROUNDING = 3.0 * 2.0**-53
+CIRCLE_CLOSED_ROUNDING = 3.0 * _U
 
 
 def circle_magnitude_closed(circumference: float) -> float:
@@ -130,7 +131,7 @@ def circle_magnitude_closed(circumference: float) -> float:
 
 
 #: Relative rounding bound of circle_points_magnitude, derived in its docstring.
-CIRCLE_POINTS_ROUNDING = 14.0 * 2.0**-53
+CIRCLE_POINTS_ROUNDING = 14.0 * _U
 
 
 def circle_points_magnitude(circumference: float, n: int) -> float:
@@ -196,7 +197,7 @@ def _over(x: float, n: int) -> float:
 #: Relative rounding bound of subspace_sphere2_closed: 2R is exact and the
 #: chord ratio half_x2_over_one_minus_one_plus_x_exp_neg is within 8u on
 #: either branch, u = 2^-53.
-SUBSPACE_SPHERE2_ROUNDING = 8.0 * 2.0**-53
+SUBSPACE_SPHERE2_ROUNDING = 8.0 * _U
 
 
 def subspace_sphere2_closed(R: float) -> float:
@@ -209,60 +210,25 @@ def subspace_sphere2_closed(R: float) -> float:
     return half_x2_over_one_minus_one_plus_x_exp_neg(2.0 * R)
 
 
-def recurrence_step_check(n: int, R: float) -> float:
-    """Residual of |S^{n+2}_R| = ((R/(n+1))^2 + 1) |S^n_R| between closed forms."""
-    n = at_least(n, 0, "n")
-    positive_finite(R, "radius")
-    return sphere_magnitude_closed(n + 2, R) - ((R / (n + 1)) ** 2 + 1.0) * sphere_magnitude_closed(n, R)
-
-
-class SpherePolynomial(Frozen):
-    """Numerator polynomial of the closed-form sphere magnitude.
-
-    coeffs holds (power, coefficient) pairs by descending power; only
-    powers with the parity of n appear, the constant term is the Euler
-    characteristic (2 for even n, 0 for odd), and the leading coefficient is
-    sigma_n / (n! omega_n).
-    """
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs: tuple[tuple[int, float], ...]):
-        for power, _ in coeffs:
-            if (power - n) % 2 != 0:
-                raise ValueError(f"power {power} breaks the parity of n={n}")
-        powers = [p for p, _ in coeffs]
-        if powers != sorted(powers, reverse=True):
-            raise ValueError("coefficients must be listed by descending power")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def coefficient(self, power: int) -> float:
-        for p, c in self.coeffs:
-            if p == power:
-                return c
-        return 0.0
-
-    @property
-    def leading_coefficient(self) -> float:
-        return self.coeffs[0][1]
-
-    @property
-    def constant_term(self) -> float:
-        return self.coefficient(0)
-
-    def __call__(self, R: float) -> float:
-        return sum(c * R**p for p, c in self.coeffs)
-
-
-def P_polynomial(n: int) -> SpherePolynomial:
-    """Expanded numerator polynomial of the n-sphere magnitude.
+def P_polynomial(n: int) -> AsymptoticExpansion:
+    """Expanded numerator polynomial P_n of the n-sphere magnitude, as the
+    asymptotic expansion of |S^n_R| in R.
 
     The product over ((R/j)^2 + 1) is expanded in exact rational
     arithmetic, then scaled by 2 (n even) or pi (odd, with one extra power
-    of R), so each coefficient carries a single rounding.
+    of R), so each coefficient carries a single rounding.  The powers share
+    the parity of n, the constant term is the Euler characteristic (2 for
+    even n, 0 for odd), and the leading coefficient is sigma_n / (n! omega_n).
+
+    |S^n_R| = P_n(R) / (1 +- e^{-pi R}), so |S^n_R| - P_n(R) =
+    -+P_n(R) e^{-pi R} / (1 +- e^{-pi R}) is below every power of R: any
+    error_order below the lowest power holds, and the lowest power - 2 is
+    where the next term of the parity ladder would stand.
     """
     from fractions import Fraction
+
+    # asymptotics imports this module; a closed-form call imports this one alone.
+    from .asymptotics import AsymptoticExpansion
 
     n = at_least(n, 0, "n")
     start = 1 if n % 2 == 0 else 2
@@ -280,7 +246,7 @@ def P_polynomial(n: int) -> SpherePolynomial:
     else:
         coeffs = [(2 * m + 1, math.pi * float(c)) for m, c in enumerate(poly)]
     coeffs.reverse()
-    return SpherePolynomial(n=n, coeffs=tuple(coeffs))
+    return AsymptoticExpansion(terms=tuple(coeffs), error_order=coeffs[-1][0] - 2)
 
 
 def intrinsic_volume_sphere(i: int, n: int, R: float) -> float:
@@ -314,20 +280,6 @@ def tsc_sphere(n: int, R: float) -> float:
     return scalar_curvature_sphere(n, R) * sigma(n) * R ** int(n)
 
 
-def penguin_valuation_sphere(n: int, R: float) -> float:
-    """Sum over i of mu_i(S^n_R) / (i! omega_i).
-
-    Matches the leading and constant coefficients of the magnitude
-    numerator polynomial, but not the subdominant one.
-    """
-    n = at_least(n, 0, "n")
-    positive_finite(R, "radius")
-    return sum(
-        intrinsic_volume_sphere(i, n, R) / (_float_factorial(i) * omega(i))
-        for i in range(n + 1)
-    )
-
-
 def _float_factorial(n: int) -> float:
     """n! as a double; past 170!, the last below the double maximum, the
     OverflowError comes at once, not after building the exact integer."""
@@ -350,20 +302,6 @@ def curvature_coefficient(n: int) -> float:
     )
 
 
-def leading_and_subleading_check(n: int) -> tuple[float, float]:
-    """Residuals of the two coefficient identities of the numerator polynomial.
-
-    Returns (leading coefficient - volume_coefficient(n),
-             R^{n-2} coefficient - curvature_coefficient(n)).
-    """
-    n = at_least(n, 2, "n")
-    poly = P_polynomial(n)
-    return (
-        poly.leading_coefficient - volume_coefficient(n),
-        poly.coefficient(n - 2) - curvature_coefficient(n),
-    )
-
-
 def tube_volume_check(n: int, R: float, eps: float) -> tuple[float, float]:
     """Both sides of the tube-volume identity for the n-sphere in R^{n+1}.
 
@@ -380,21 +318,3 @@ def tube_volume_check(n: int, R: float, eps: float) -> tuple[float, float]:
     for i in range(1, n + 2):  # the i = 0 term carries mu_{n+1} := 0
         formula += intrinsic_volume_sphere(n + 1 - i, n, R) * omega(i) * eps**i
     return direct, formula
-
-
-def geodesic_sphere_expansion_check(n: int, R: float, r: float) -> float:
-    """Residual of the second-order volume expansion of geodesic spheres.
-
-    The sphere of geodesic radius r inside S^n_R has volume
-    sigma_{n-1} (R sin(r/R))^{n-1}; subtracting the model
-    sigma_{n-1} r^{n-1} (1 - tau r^2 / (6n)) with tau = n(n-1)/R^2 leaves
-    a residual of order r^{n+3}.
-    """
-    n = at_least(n, 2, "n")
-    positive_finite(R, "radius")
-    if not 0.0 < r < math.pi * R:
-        raise ValueError(f"need 0 < r < pi R, got r={r}")
-    tau = scalar_curvature_sphere(n, R)
-    exact = sigma(n - 1) * (R * math.sin(r / R)) ** (n - 1)
-    model = sigma(n - 1) * r ** (n - 1) * (1.0 - tau * r * r / (6.0 * n))
-    return exact - model

@@ -18,7 +18,6 @@ from magnitude import (
     predicted_relative_correction_subspace,
     sphere_magnitude_closed,
     subspace_sphere_magnitude_quadrature,
-    surface_asymptotics_residual,
     watson_partial_sum,
 )
 
@@ -201,6 +200,12 @@ class TestSubspaceCorrection:
     def test_two_sphere_coefficient_vanishes(self):
         coeff, _ = extract_subspace_relative_correction(2, (20.0, 40.0, 80.0))
         assert abs(coeff) < 1e-3
+
+
+def surface_asymptotics_residual(R):
+    """Magnitude of the round 2-sphere minus its surface model 2 R^2 + 2,
+    area / (2 pi) t^2 + Euler characteristic: exponentially small in R."""
+    return sphere_magnitude_closed(2, R) - (2.0 * R * R + 2.0)
 
 
 class TestSurfaceResidual:

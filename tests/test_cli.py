@@ -840,12 +840,17 @@ class TestClosedFormsWithoutNumpy:
             ]
             for argv in calls:
                 print(run_quietly(argv), array_modules())
+            # P_polynomial imports fractions, and asymptotics for the type it
+            # returns; neither imports numpy.
+            magnitude.P_polynomial(5)
+            print(array_modules())
             from magnitude import FiniteMetricSpace
             print(FiniteMetricSpace([[0.0, 1.0], [1.0, 0.0]]).n, "numpy" in sys.modules)
         """)
         proc = run_python(["-c", code], tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]"] + ["0 []"] * 7 + ["[]"] + ["0 []"] * 3 + ["2 True"]
+        assert proc.stdout.splitlines() == (
+            ["[]"] + ["0 []"] * 7 + ["[]"] + ["0 []"] * 3 + ["[]"] + ["2 True"])
 
     @pytest.mark.parametrize("argv", [
         ["sphere", "--dim", "3", "--radius", "2", "--method", "quadrature"],

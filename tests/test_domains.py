@@ -24,22 +24,16 @@ DIMENSIONS = [
     ("omega", 0, lambda k: mg.omega(k)),
     ("sigma", 0, lambda k: mg.sigma(k)),
     ("sphere_magnitude_closed", 0, lambda n: mg.sphere_magnitude_closed(n, 1.0)),
-    ("recurrence_step_check", 0, lambda n: mg.recurrence_step_check(n, 1.0)),
     ("P_polynomial", 0, lambda n: mg.P_polynomial(n)),
     ("intrinsic_volume_sphere", 0, lambda n: mg.intrinsic_volume_sphere(0, n, 1.0)),
-    ("penguin_valuation_sphere", 0, lambda n: mg.penguin_valuation_sphere(n, 1.0)),
     ("tube_volume_check", 1, lambda n: mg.tube_volume_check(n, 1.0, 0.5)),
     ("scalar_curvature_sphere", 2, lambda n: mg.scalar_curvature_sphere(n, 1.0)),
     ("tsc_sphere", 2, lambda n: mg.tsc_sphere(n, 1.0)),
-    ("leading_and_subleading_check", 2, lambda n: mg.leading_and_subleading_check(n)),
-    ("geodesic_sphere_expansion_check", 2,
-     lambda n: mg.geodesic_sphere_expansion_check(n, 1.0, 0.1)),
     ("K_integral", 1, lambda n: mg.K_integral(n)),
     ("I_integral", 1, lambda n: mg.I_integral(n, 1.0)),
     ("sphere_magnitude_quadrature", 1, lambda n: mg.sphere_magnitude_quadrature(n, 1.0)),
     ("subspace_sphere_magnitude_quadrature", 1,
      lambda n: mg.subspace_sphere_magnitude_quadrature(n, 1.0)),
-    ("recurrence_residuals", 1, lambda n: mg.recurrence_residuals(n, 1.0)),
     ("predicted_expansion_intrinsic_sphere", 2, lambda n: mg.predicted_expansion_intrinsic_sphere(n)),
     ("predicted_relative_correction_intrinsic", 2,
      lambda n: mg.predicted_relative_correction_intrinsic(n)),
@@ -65,23 +59,15 @@ SCALARS = [
      NOT_POSITIVE_FINITE),
     ("subspace_sphere2_closed", lambda R: mg.subspace_sphere2_closed(R), ValueError, "radius",
      NOT_POSITIVE_FINITE),
-    ("recurrence_step_check", lambda R: mg.recurrence_step_check(1, R), ValueError, "radius",
-     NOT_POSITIVE_FINITE),
     ("intrinsic_volume_sphere", lambda R: mg.intrinsic_volume_sphere(0, 2, R), ValueError,
      "radius", NOT_POSITIVE_FINITE),
     ("scalar_curvature_sphere", lambda R: mg.scalar_curvature_sphere(2, R), ValueError, "radius",
      NOT_POSITIVE_FINITE),
     ("tsc_sphere", lambda R: mg.tsc_sphere(2, R), ValueError, "radius", NOT_POSITIVE_FINITE),
-    ("penguin_valuation_sphere", lambda R: mg.penguin_valuation_sphere(2, R), ValueError,
-     "radius", NOT_POSITIVE_FINITE),
     ("tube_volume_check R", lambda R: mg.tube_volume_check(2, R, 0.5), ValueError, "radius",
      NOT_POSITIVE_FINITE),
     ("tube_volume_check eps", lambda e: mg.tube_volume_check(2, 1.0, e), EpsilonTooLarge, "eps",
      NOT_POSITIVE_FINITE),
-    ("geodesic_sphere_expansion_check R", lambda R: mg.geodesic_sphere_expansion_check(2, R, 0.1),
-     ValueError, "radius", NOT_POSITIVE_FINITE),
-    ("geodesic_sphere_expansion_check r", lambda r: mg.geodesic_sphere_expansion_check(2, 1.0, r),
-     ValueError, r"\br\b", NOT_POSITIVE_FINITE),
     ("circle_magnitude_closed", lambda c: mg.circle_magnitude_closed(c), NonpositiveLength,
      "circumference", NOT_POSITIVE_FINITE),
     ("I_integral", lambda R: mg.I_integral(2, R), ValueError, "radius", NOT_POSITIVE_FINITE),
@@ -89,10 +75,6 @@ SCALARS = [
      "radius", NOT_POSITIVE_FINITE),
     ("subspace_sphere_magnitude_quadrature", lambda R: mg.subspace_sphere_magnitude_quadrature(2, R),
      ValueError, "radius", NOT_POSITIVE_FINITE),
-    ("recurrence_residuals", lambda R: mg.recurrence_residuals(2, R), ValueError, "radius",
-     NOT_POSITIVE_FINITE),
-    ("surface_asymptotics_residual", lambda R: mg.surface_asymptotics_residual(R), ValueError,
-     r"\bR\b|radius", NOT_POSITIVE_FINITE),
     ("watson_partial_sum", lambda t: mg.watson_partial_sum(mg.GermExpansion((1.0,), 1.0), t),
      ValueError, r"\bt\b", (0.0, -1.0, math.nan)),
     ("QuadratureConfig", lambda tol: mg.QuadratureConfig(tol), ValueError, "rel_tol",

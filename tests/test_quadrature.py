@@ -18,7 +18,6 @@ from magnitude import (
     QuadratureConfig,
     circle_magnitude_closed,
     integrate_adaptive,
-    recurrence_residuals,
     sphere_magnitude_closed,
     sphere_magnitude_quadrature,
     subspace_sphere2_closed,
@@ -33,6 +32,15 @@ def exp_poly_integral(a, coeffs):
         partial = sum(a**j / math.factorial(j) for j in range(k + 1))
         total += c * math.factorial(k) / a ** (k + 1) * (1.0 - math.exp(-a) * partial)
     return total
+
+
+def recurrence_residuals(n, R):
+    """Residuals of the two induction identities linking n and n+2,
+    ((n+1) K_{n+2} - n K_n, (n+1)((R/(n+1))^2 + 1) I_{n+2} - n I_n), all four
+    integrals by quadrature."""
+    k_res = (n + 1) * K_integral(n + 2) - n * K_integral(n)
+    i_res = (n + 1) * ((R / (n + 1)) ** 2 + 1.0) * I_integral(n + 2, R) - n * I_integral(n, R)
+    return k_res, i_res
 
 
 class TestConfig:

@@ -14,7 +14,6 @@ from magnitude.asymptotics import AsymptoticExpansion, GermExpansion
 from magnitude.finite import Weighting
 from magnitude.line import LineSubset, LineWeightMeasure
 from magnitude.quadrature import IntegralResult, QuadratureConfig
-from magnitude.spheres import SpherePolynomial
 
 REQUIRED = inspect.Parameter.empty
 
@@ -25,8 +24,6 @@ TYPES = [
      ("intervals", ((0.0, 1.0),))),
     (LineWeightMeasure, [("atoms", ()), ("densities", ())],
      dict(atoms=((0.0, 0.5),), densities=((0.0, 1.0, 0.5),)), ("atoms", ())),
-    (SpherePolynomial, [("n", REQUIRED), ("coeffs", REQUIRED)],
-     dict(n=2, coeffs=((2, 1.0), (0, 2.0))), ("coeffs", ((2, 1.5), (0, 2.0)))),
     (Weighting, [("w", REQUIRED), ("residual_norm", REQUIRED), ("rcond", REQUIRED)],
      dict(w=(0.5, 0.5), residual_norm=0.0, rcond=1.0), ("rcond", 0.5)),
     (QuadratureConfig, [("rel_tol", 1e-12)], dict(rel_tol=1e-8), ("rel_tol", 1e-9)),
@@ -103,9 +100,6 @@ def test_fields_are_coerced_to_float_tuples():
      "density segment [1.0, 1.0] must have positive length"),
     (lambda: LineWeightMeasure(densities=((0.0, 2.0, 0.5), (1.0, 3.0, 0.5))),
      "density segments must be disjoint and sorted"),
-    (lambda: SpherePolynomial(2, ((1, 1.0),)), "power 1 breaks the parity of n=2"),
-    (lambda: SpherePolynomial(2, ((0, 1.0), (2, 1.0))),
-     "coefficients must be listed by descending power"),
     (lambda: QuadratureConfig(0.0), "rel_tol must be positive"),
     (lambda: AsymptoticExpansion((), 0), "expansion needs at least one term"),
     (lambda: AsymptoticExpansion(((1, 1.0), (2, 1.0)), 0), "powers must be strictly decreasing"),
