@@ -17,12 +17,11 @@ import numpy as np
 
 from magnitude import (
     GermExpansion,
-    extract_parity_expansion,
-    extract_subspace_relative_correction,
     integrate_adaptive,
     predicted_expansion_intrinsic_sphere,
     predicted_relative_correction_intrinsic,
     predicted_relative_correction_subspace,
+    sphere_asymptotics,
     sphere_magnitude_closed,
     subspace_sphere_magnitude_quadrature,
     watson_partial_sum,
@@ -40,26 +39,27 @@ def main():
         print(f"  t = {t:>5}: quadrature {quad:.15e}  germ sum {ws:.15e}")
 
     grid = (10.0, 20.0, 40.0, 80.0)
-    print(f"\nCoefficients extracted from magnitudes sampled at t in {grid}:")
+    print(f"\nCoefficients extracted from magnitudes sampled at t in {grid},")
+    print("with the spreads that `magnitude asymptotics` prints:")
     for n in (2, 3, 4):
-        extracted = extract_parity_expansion(
-            lambda t: sphere_magnitude_closed(n, t), n, grid
-        )
+        extracted = sphere_asymptotics("intrinsic", n, grid, 3)
         predicted = predicted_expansion_intrinsic_sphere(n)
         print(f"  geodesic n = {n}:")
-        for power, coeff in extracted.terms:
+        for (power, coeff), spread in zip(extracted.terms, extracted.spreads):
             print(
                 f"    t^{power}: extracted {coeff:>22.15f}"
                 f"  predicted {predicted.coefficient(power):>22.15f}"
+                f"  spread {spread:.1e}"
             )
     print("  (n = 2 line: area/(2 pi) = 2 and Euler characteristic = 2.)")
 
     print("\nChord vs geodesic metric on the same sphere:")
     R_grid = (20.0, 40.0, 80.0)
     for n in (2, 3, 4):
-        coeff, spread = extract_subspace_relative_correction(n, R_grid)
+        extracted = sphere_asymptotics("subspace", n, R_grid, 2)
         print(
-            f"  n = {n}: chord R^-2 coefficient {coeff:>12.6f}"
+            f"  n = {n}: chord R^-2 coefficient {extracted.coefficient(-2):>12.6f}"
+            f" +- {extracted.spreads[1]:.1e}"
             f"  predicted {predicted_relative_correction_subspace(n):>8.3f}"
             f"  (geodesic analogue {predicted_relative_correction_intrinsic(n):>8.3f})"
         )

@@ -39,10 +39,10 @@ _EXPORTS = {
         "GermExpansion",
         "extract_coefficients",
         "extract_parity_expansion",
-        "extract_subspace_relative_correction",
         "predicted_expansion_intrinsic_sphere",
         "predicted_relative_correction_intrinsic",
         "predicted_relative_correction_subspace",
+        "sphere_asymptotics",
         "watson_partial_sum",
     ),
     "errors": (

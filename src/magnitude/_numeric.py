@@ -4,15 +4,18 @@ tolerances and the base of the package's value types, shared across modules.
 The numerical helpers guard against catastrophic cancellation near zero by
 switching to a series branch; the crossover thresholds are chosen so that
 the truncation error of the series sits far below double-precision
-roundoff.  The two checks state the domain rules of the package once: an
-integer dimension or depth at least some least value, and a positive finite
-length, radius, scale or tolerance.  The quadrature settings live here,
-not in quadrature, so that code which only passes them on (asymptotics, the
-CLI) does not import numpy; so do the grids of line approximations and
-sweeps (linspace, geomspace).  The module needs only the standard library.
+roundoff.  The checks state the package's domain rules once: an integer
+dimension or depth at least some least value, a positive finite length,
+radius, scale or tolerance, and (_guarded) a result in the double range.
+The quadrature settings live here, not in quadrature, so that code which
+only passes them on (asymptotics, the CLI) does not import numpy; so do the
+grids of line approximations and sweeps (linspace, geomspace).  The module
+needs only the standard library.
 """
 
 import math
+
+from .errors import NonFiniteResult
 
 #: Default solver tolerance (residual bound and reciprocal-condition floor of
 #: the dense solve), also the default truncation bound of the Cantor series.
@@ -61,6 +64,23 @@ class Frozen:
 
     def __reduce__(self):
         return type(self), self._fields()
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def _guarded(x, compute) -> tuple[float, ...]:
+    """compute() for the numbers at parameter x, a tuple; one that overflows or
+    is not finite is a numerical failure, never a printed inf or nan."""
+    try:
+        values = compute()
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NonFiniteResult(f"result at {_fmt(x)} is out of range: {exc}") from None
+    for value in values:
+        if not math.isfinite(value):
+            raise NonFiniteResult(f"result at {_fmt(x)} is not finite: {value}")
+    return values
 
 
 def at_least(value, least: int, name: str) -> int:

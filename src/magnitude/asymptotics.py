@@ -6,6 +6,9 @@ watson_partial_sum evaluates that sum.  Going the other way,
 extract_coefficients recovers expansion coefficients of a magnitude-like
 function from samples on a grid of scales, by sequential stripping with
 polynomial (Richardson/Neville) extrapolation in t^{-step}.
+sphere_asymptotics is the one route from sphere magnitudes to coefficients:
+it owns the sampling, the samples' error model and the refusal of a fit
+that noise decides, and `magnitude asymptotics` prints what it returns.
 
 The extraction runs on lists of Python floats: a grid holds a dozen scales
 at most, and the intrinsic-sphere asymptotics then need only the standard
@@ -19,9 +22,9 @@ import math
 import operator
 import sys
 
-from ._numeric import _U, DEFAULT_CONFIG, Frozen, QuadratureConfig, at_least
-from .errors import NonFiniteResult
-from .spheres import curvature_coefficient, volume_coefficient
+from ._numeric import _U, DEFAULT_CONFIG, Frozen, QuadratureConfig, _guarded, at_least
+from .errors import IllConditionedFit, NonFiniteResult
+from .spheres import curvature_coefficient, sphere_closed_rounding, sphere_magnitude_closed, volume_coefficient
 
 
 class AsymptoticExpansion(Frozen):
@@ -136,7 +139,7 @@ def predicted_relative_correction_intrinsic(n: int) -> float:
 def predicted_expansion_subspace_ratio(n: int) -> AsymptoticExpansion:
     """Predicted 1 + predicted_relative_correction_subspace(n) R^{-2} for
     subspace_ratio; for n = 1 only the leading 1 is known."""
-    if int(n) == 1:
+    if at_least(n, 1, "n") == 1:
         return AsymptoticExpansion(terms=((0, 1.0),), error_order=-2)
     return AsymptoticExpansion(((0, 1.0), (-2, predicted_relative_correction_subspace(n))), -4)
 
@@ -311,20 +314,6 @@ def subspace_ratio(n: int, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> 
 FIT_ROUNDING = 16 * _U
 
 
-def closed_form_tail(t: float) -> float:
-    """Relative distance of sphere_magnitude_closed(n, t) from its numerator
-    polynomial P_polynomial(n)(t), for every n: e^{-pi t}.
-
-    For even n the closed form is f = P(t) / (1 + e^{-pi t}), for odd n
-    f = P(t) / (1 - e^{-pi t}).  So P(t) - f = f e^{-pi t} or
-    -f e^{-pi t}, and |f - P(t)| = |f| e^{-pi t} exactly.  The extraction
-    models f by powers of t, which stand for P alone: to the fit, this term
-    is one more relative error in each sample.  It is below a double's
-    rounding from t of about 12 on.
-    """
-    return math.exp(-math.pi * t)
-
-
 def subspace_ratio_rounding(n: int) -> float:
     """Bound on the relative rounding error of subspace_ratio(n, R) beyond the
     error of its quadrature J, which the quadrature estimates as at most
@@ -341,28 +330,62 @@ def subspace_ratio_rounding(n: int) -> float:
     return (6 * int(n) + 12) * _U
 
 
-def extract_subspace_expansion(ratio, R_grid) -> AsymptoticExpansion:
-    """R^0 and R^{-2} coefficients of ratio (subspace_ratio at a fixed n), called
-    once per grid point: the limits of ratio and of (ratio - 1) R^2 at R = infinity."""
-    table = {float(R): ratio(float(R)) for R in R_grid}
-    lead = extract_coefficients(table.__getitem__, 0, 2, 1, R_grid)
-    correction = extract_coefficients(lambda R: (table[R] - 1.0) * R * R, 0, 2, 1, R_grid)
-    correction_gradient = tuple(g * R * R for g, R in zip(correction.gradients[0], table))
-    return AsymptoticExpansion(((0, lead.coefficient(0)), (-2, correction.coefficient(0))), -4,
-                               (lead.spreads[0], correction.spreads[0]),
-                               (lead.gradients[0], correction_gradient))
+def sphere_asymptotics(metric: str, n: int, grid, orders: int,
+                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> AsymptoticExpansion:
+    """The top orders coefficients of the n-sphere's magnitude expansion,
+    fitted to one sample at each scale of grid, with the spreads that
+    `magnitude asymptotics` prints.
 
+    "intrinsic" fits sphere_magnitude_closed(n, t), n >= 2, with
+    extract_parity_expansion (t^n, t^(n-1), t^(n-2)); "subspace" fits
+    subspace_ratio(n, R, cfg), n >= 1, after checking every subspace_lead
+    (R^0 and R^-2: the limits of the ratio and of (ratio - 1) R^2).
 
-def extract_subspace_relative_correction(
-    n: int, R_grid, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> tuple[float, float]:
-    """Extract the R^{-2} coefficient of the chord-metric relative expansion.
-
-    Computes chord-metric magnitudes by quadrature, divides out the exact
-    leading term sigma_n R^n / (n! omega_n), and extrapolates
-    (ratio - 1) R^2 to R = infinity.  Returns (coefficient, spread).
+    The fit is linear in the samples f_i, so errors e_i in them move the t^k
+    coefficient by at most noise_k = sum_i |d c_k / d f_i| e_i.  Here e_i is
+    |f_i| times FIT_ROUNDING plus, for the chord metric, rel_tol +
+    subspace_ratio_rounding(n), and for the intrinsic metric
+    sphere_closed_rounding(n) + e^(-pi t_i): the closed form is
+    P_polynomial(n)(t) / (1 +- e^(-pi t)), so it differs from the polynomial
+    that the powers of t model by |f| e^(-pi t) exactly, which is below a
+    double's rounding from t of about 12 on.  Each spread is
+    max(extrapolation spread, noise_k); a noise_k above the leading
+    coefficient's size raises IllConditionedFit.
     """
-    n = at_least(n, 2, "n")
-    result = extract_subspace_expansion(lambda R: subspace_ratio(n, R, cfg), R_grid)
-    return result.coefficient(-2), result.spreads[1]
-
+    if metric not in ("intrinsic", "subspace"):
+        raise ValueError(f"metric must be intrinsic or subspace, got {metric!r}")
+    least, count = (2, 3) if metric == "intrinsic" else (1, 2)
+    n = at_least(n, least, "n")
+    if not 1 <= orders <= count:
+        raise ValueError(f"orders must be between 1 and {count} for the {metric} metric, got {orders}")
+    if metric == "intrinsic":
+        rounding = sphere_closed_rounding(n)
+        relative_errors = [rounding + math.exp(-math.pi * t) for t in grid]
+        samples = {t: _guarded(t, lambda: (sphere_magnitude_closed(n, t),))[0] for t in grid}
+        extracted = extract_parity_expansion(samples.__getitem__, n, grid)
+    else:
+        relative_errors = [cfg.rel_tol + subspace_ratio_rounding(n)] * len(grid)
+        # The leading terms cost nothing, so one out of range fails the call
+        # before the first quadrature, with the message it gives as a sample.
+        for R in grid:
+            _guarded(R, lambda: (subspace_lead(n, R),))
+        samples = {R: _guarded(R, lambda: (subspace_ratio(n, R, cfg),))[0] for R in grid}
+        lead = extract_coefficients(samples.__getitem__, 0, 2, 1, grid)
+        correction = extract_coefficients(lambda R: (samples[R] - 1.0) * R * R, 0, 2, 1, grid)
+        extracted = AsymptoticExpansion(
+            ((0, lead.coefficient(0)), (-2, correction.coefficient(0))), -4,
+            (lead.spreads[0], correction.spreads[0]),
+            (lead.gradients[0], tuple(g * R * R for g, R in zip(correction.gradients[0], grid))))
+    errors = [(e + FIT_ROUNDING) * abs(samples[t]) for e, t in zip(relative_errors, grid)]
+    terms = extracted.terms[:orders]
+    size = abs(terms[0][1])
+    bars = []
+    for (power, _), spread, gradient in zip(terms, extracted.spreads, extracted.gradients):
+        noise = sum(abs(g) * e for g, e in zip(gradient, errors))
+        if not noise <= size:
+            raise IllConditionedFit(
+                f"the samples' rounding and quadrature errors may move the t^{power} coefficient "
+                f"by {noise:.3e}, more than the leading coefficient's size {size:.3e}")
+        bars.append(max(spread, noise))
+    powers = [p for p, _ in extracted.terms] + [extracted.error_order]
+    return AsymptoticExpansion(terms, powers[orders], tuple(bars), extracted.gradients[:orders])

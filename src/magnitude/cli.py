@@ -4,7 +4,8 @@ Every valid (space, method) pair is one entry of EVALUATORS, which both the
 single-value subcommands and `sweep` call: a sweep row at x holds the number
 the matching subcommand prints at x.  parse_sweep_spec turns a sweep file
 into its grid and an evaluate(x) bound to the pair's entry, so `sweep` only
-evaluates and writes the rows.
+evaluates and writes the rows.  `asymptotics` parses its options and prints
+asymptotics.sphere_asymptotics's rows, error bars included, and the prediction.
 
 Exit codes: 0 on success, 2 on input errors (including argparse failures),
 3 on numerical failures, taken from MagnitudeError.exit_code (ValueError,
@@ -44,11 +45,13 @@ from ._numeric import (
     DEFAULT_CONFIG,
     DEFAULT_TOL,
     QuadratureConfig,
+    _fmt,
+    _guarded,
     geomspace,
     linspace,
     positive_finite,
 )
-from .errors import IllConditionedFit, MagnitudeError, NonFiniteResult
+from .errors import MagnitudeError
 
 #: The thread-count variables OpenBLAS reads when it loads; a user who sets
 #: any of them keeps OpenBLAS's own choice.
@@ -64,10 +67,6 @@ _PARAM_NAMES = {
     "sphere-intrinsic": "radius",
     "sphere-subspace": "radius",
 }
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _quad_config(tol: float | None) -> QuadratureConfig:
@@ -230,19 +229,6 @@ EVALUATORS = {
 }
 
 
-def _guarded(x, compute) -> tuple[float, ...]:
-    """compute() for the numbers at parameter x, a tuple; one that overflows or
-    is not finite is a numerical failure, never a printed inf or nan."""
-    try:
-        values = compute()
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise NonFiniteResult(f"result at {_fmt(x)} is out of range: {exc}") from None
-    for value in values:
-        if not math.isfinite(value):
-            raise NonFiniteResult(f"result at {_fmt(x)} is not finite: {value}")
-    return values
-
-
 def _print(*values) -> None:
     print(",".join(map(_fmt, values)))
 
@@ -298,7 +284,7 @@ def _cmd_asymptotics(args) -> int:
         predict, min_points = asymptotics.predicted_expansion_intrinsic_sphere, 4
     else:
         predict, min_points = asymptotics.predicted_expansion_subspace_ratio, 3
-    # Predicted coefficients in the order extract_* lists its powers; they
+    # Predicted coefficients in the order sphere_asymptotics lists its powers; they
     # overflow at large dims, as the samples do, so they are guarded too.
     predicted = _guarded(n, lambda: tuple(c for _, c in predict(n).terms))
     problem = None
@@ -311,39 +297,10 @@ def _cmd_asymptotics(args) -> int:
         # numerical failure leaves stdout empty.
         csv.writer(sys.stdout).writerow(header)
         raise ValueError(problem)
-    if args.metric == "intrinsic":
-        rounding = spheres.sphere_closed_rounding(n)
-        relative_errors = [rounding + asymptotics.closed_form_tail(t) for t in grid]
-        samples = {t: _guarded(t, lambda: (spheres.sphere_magnitude_closed(n, t),))[0] for t in grid}
-        extracted = asymptotics.extract_parity_expansion(samples.__getitem__, n, grid)
-    else:
-        cfg = _quad_config(args.tol)
-        relative_errors = [cfg.rel_tol + asymptotics.subspace_ratio_rounding(n)] * len(grid)
-        # The leading terms cost nothing, so one that is out of range fails
-        # the call before the first quadrature, with the message it gives
-        # as a sample.
-        for R in grid:
-            _guarded(R, lambda: (asymptotics.subspace_lead(n, R),))
-        samples = {R: _guarded(R, lambda: (asymptotics.subspace_ratio(n, R, cfg),))[0] for R in grid}
-        extracted = asymptotics.extract_subspace_expansion(samples.__getitem__, grid)
-    # The extraction is linear in the samples, so their errors e_i move the
-    # t^k coefficient by at most sum_i |d c_k / d f_i| e_i: the spread printed
-    # is the larger of that and the extrapolation spread.  Every row is
-    # computed before the first is written.
-    errors = [(e + asymptotics.FIT_ROUNDING) * abs(samples[t]) for e, t in zip(relative_errors, grid)]
-    lead = abs(extracted.terms[0][1])
-    rows = [header]
-    for (power, coeff), spread, gradient, expected in zip(
-        extracted.terms, extracted.spreads, extracted.gradients, predicted[: args.orders]
-    ):
-        noise = sum(abs(g) * e for g, e in zip(gradient, errors))
-        if not noise <= lead:
-            raise IllConditionedFit(
-                f"the samples' rounding and quadrature errors may move the t^{power} coefficient "
-                f"by {noise:.3e}, more than the leading coefficient's size {lead:.3e}"
-            )
-        rows.append((power, _fmt(coeff), _fmt(expected), _fmt(max(spread, noise))))
-    csv.writer(sys.stdout).writerows(rows)
+    extracted = asymptotics.sphere_asymptotics(args.metric, n, grid, args.orders, _quad_config(args.tol))
+    rows = [(power, _fmt(coeff), _fmt(expected), _fmt(spread))
+            for (power, coeff), spread, expected in zip(extracted.terms, extracted.spreads, predicted)]
+    csv.writer(sys.stdout).writerows([header, *rows])
     return 0
 
 

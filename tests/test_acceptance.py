@@ -18,8 +18,6 @@ from magnitude import (
     cantor_magnitude_series,
     carrier_probe_points,
     circle_points,
-    extract_parity_expansion,
-    extract_subspace_relative_correction,
     finite_approx_line,
     integrate_adaptive,
     interval_weight_measure,
@@ -27,6 +25,7 @@ from magnitude import (
     P_polynomial,
     predicted_expansion_intrinsic_sphere,
     predicted_relative_correction_subspace,
+    sphere_asymptotics,
     sphere_magnitude_closed,
     sphere_magnitude_quadrature,
     subspace_sphere2_closed,
@@ -148,17 +147,22 @@ def test_criterion_07_exponential_gap(capsys):
         report(ok, "criterion 7: |magnitude - polynomial|/polynomial < 1e-12 at R=10, < 1e-6 at R=5")
 
 
+def within_spread(extracted, exact):
+    """Whether every extracted coefficient lies within its spread of the exact one."""
+    return all(abs(c - value) <= spread
+               for (_, c), spread, value in zip(extracted.terms, extracted.spreads, exact))
+
+
 def test_criterion_08_asymptotic_extraction(capsys):
     grid = (10.0, 20.0, 40.0, 80.0)
     ok = True
     for n in (2, 3, 4, 5):
-        extracted = extract_parity_expansion(
-            lambda t: sphere_magnitude_closed(n, t), n, grid
-        )
+        extracted = sphere_asymptotics("intrinsic", n, grid, 3)
         predicted = predicted_expansion_intrinsic_sphere(n)
         ok &= abs(extracted.coefficient(n) - predicted.coefficient(n)) < 1e-8
         ok &= abs(extracted.coefficient(n - 1)) < 1e-6
         ok &= abs(extracted.coefficient(n - 2) - predicted.coefficient(n - 2)) < 1e-6
+        ok &= within_spread(extracted, [c for _, c in predicted.terms])
         if n == 2:
             ok &= abs(extracted.coefficient(2) - 2.0) < 1e-8  # area / (2 pi)
             ok &= abs(extracted.coefficient(0) - 2.0) < 1e-6  # Euler characteristic
@@ -173,12 +177,11 @@ def test_criterion_09_subspace_metric(capsys):
         quad = subspace_sphere_magnitude_quadrature(2, R)
         ok &= abs(closed - quad) <= 1e-9 * abs(closed)
     R_grid = (20.0, 40.0, 80.0)
-    for n in (3, 4):
-        coeff, _ = extract_subspace_relative_correction(n, R_grid)
-        predicted = predicted_relative_correction_subspace(n)
-        ok &= abs(coeff - predicted) <= 0.02 * predicted
-    coeff2, _ = extract_subspace_relative_correction(2, R_grid)
-    ok &= abs(coeff2) < 1e-3
+    for n in (2, 3, 4):
+        extracted = sphere_asymptotics("subspace", n, R_grid, 2)
+        coeff, predicted = extracted.coefficient(-2), predicted_relative_correction_subspace(n)
+        ok &= abs(coeff) < 1e-3 if n == 2 else abs(coeff - predicted) <= 0.02 * predicted
+        ok &= within_spread(extracted, [1.0, predicted])
     with capsys.disabled():
         report(ok, "criterion 9: chord-metric closed vs quadrature and R^-2 coefficients")
 

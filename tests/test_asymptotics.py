@@ -10,12 +10,11 @@ from magnitude import (
     GermExpansion,
     NonFiniteResult,
     extract_coefficients,
-    extract_parity_expansion,
-    extract_subspace_relative_correction,
     integrate_adaptive,
     predicted_expansion_intrinsic_sphere,
     predicted_relative_correction_intrinsic,
     predicted_relative_correction_subspace,
+    sphere_asymptotics,
     sphere_magnitude_closed,
     subspace_sphere_magnitude_quadrature,
     watson_partial_sum,
@@ -170,11 +169,16 @@ class TestExtraction:
             extract_coefficients(lambda t: t**-2.0, 0, 2, 1, (1e-109, 2e-109, 4e-109, 8e-109))
 
 
+def assert_within_spread(extracted, exact):
+    """Each extracted coefficient lies within its spread of the exact one."""
+    for (power, coeff), spread, value in zip(extracted.terms, extracted.spreads, exact):
+        assert abs(coeff - value) <= spread, (power, coeff, value, spread)
+
+
 class TestSphereExpansionExtraction:
     def test_intrinsic_matches_prediction(self):
         for n in (2, 3, 4, 5):
-            f = lambda t: sphere_magnitude_closed(n, t)
-            extracted = extract_parity_expansion(f, n, GRID)
+            extracted = sphere_asymptotics("intrinsic", n, GRID, 3)
             predicted = predicted_expansion_intrinsic_sphere(n)
             assert extracted.coefficient(n) == pytest.approx(
                 predicted.coefficient(n), abs=1e-8
@@ -183,23 +187,25 @@ class TestSphereExpansionExtraction:
             assert extracted.coefficient(n - 2) == pytest.approx(
                 predicted.coefficient(n - 2), abs=1e-6
             )
+            assert_within_spread(extracted, [c for _, c in predicted.terms])
 
     def test_surface_reproduces_area_and_euler(self):
-        extracted = extract_parity_expansion(
-            lambda t: sphere_magnitude_closed(2, t), 2, GRID
-        )
+        extracted = sphere_asymptotics("intrinsic", 2, GRID, 3)
         assert extracted.coefficient(2) == pytest.approx(2.0, abs=1e-8)
         assert extracted.coefficient(0) == pytest.approx(2.0, abs=1e-6)
+        assert_within_spread(extracted, [2.0, 0.0, 2.0])
 
 
 class TestSubspaceCorrection:
     def test_three_sphere_within_two_percent(self):
-        coeff, _ = extract_subspace_relative_correction(3, (20.0, 40.0, 80.0))
-        assert coeff == pytest.approx(1.5, rel=0.02)
+        extracted = sphere_asymptotics("subspace", 3, (20.0, 40.0, 80.0), 2)
+        assert extracted.coefficient(-2) == pytest.approx(1.5, rel=0.02)
+        assert_within_spread(extracted, [1.0, 1.5])
 
     def test_two_sphere_coefficient_vanishes(self):
-        coeff, _ = extract_subspace_relative_correction(2, (20.0, 40.0, 80.0))
-        assert abs(coeff) < 1e-3
+        extracted = sphere_asymptotics("subspace", 2, (20.0, 40.0, 80.0), 2)
+        assert abs(extracted.coefficient(-2)) < 1e-3
+        assert_within_spread(extracted, [1.0, 0.0])
 
 
 def surface_asymptotics_residual(R):

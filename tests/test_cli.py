@@ -377,13 +377,37 @@ class TestAsymptoticsCommand:
     def test_noise_at_large_scales_exits_three(self, capsys):
         # The R^-2 coefficient at R = 1e100 is (ratio - 1) R^2 with ratio 1 to
         # within rel_tol: it used to print 2.47e190 with exit 0.
-        for argv in (("--metric", "subspace", "--dim", "2", "--orders", "2"),
-                     ("--metric", "intrinsic", "--dim", "2", "--orders", "3")):
-            code, out, err = run_cli(capsys, "asymptotics", *argv, "--tmin", "1e100",
-                                     "--tmax", "8e100")
+        from magnitude import asymptotics
+
+        for metric, orders in (("subspace", 2), ("intrinsic", 3)):
+            code, out, err = run_cli(capsys, "asymptotics", "--metric", metric, "--dim", "2",
+                                     "--orders", str(orders), "--tmin", "1e100", "--tmax", "8e100")
             assert code == 3
             assert out == ""
             assert err.startswith("IllConditionedFit: ")
+            # The library route refuses the fit itself, with the same message.
+            with pytest.raises(errors.IllConditionedFit) as refused:
+                asymptotics.sphere_asymptotics(metric, 2, (1e100, 2e100, 4e100, 8e100), orders)
+            assert err == f"IllConditionedFit: {refused.value}\n"
+
+    @pytest.mark.parametrize("metric, dim, orders, tmin", [
+        ("intrinsic", 2, 3, 10.0), ("intrinsic", 5, 3, 10.0), ("subspace", 3, 2, 20.0),
+    ], ids=["asymptotics-intrinsic", "asymptotics-intrinsic-dim5", "asymptotics-subspace"])
+    def test_prints_the_rows_of_the_library_route(self, capsys, metric, dim, orders, tmin):
+        # The argv of the golden cases: every printed number is the route's.
+        from magnitude import asymptotics
+
+        code, out, err = run_cli(capsys, "asymptotics", "--dim", str(dim), "--metric", metric,
+                                 "--orders", str(orders), "--tmin", repr(tmin), "--tmax", "80")
+        assert code == 0, err
+        extracted = asymptotics.sphere_asymptotics(metric, dim, cli._geometric_grid(tmin, 80.0), orders)
+        predicted = {"intrinsic": asymptotics.predicted_expansion_intrinsic_sphere,
+                     "subspace": asymptotics.predicted_expansion_subspace_ratio}[metric](dim)
+        rows = ["power,extracted,predicted,spread"] + [
+            f"{power},{coeff:.17g},{predicted.coefficient(power):.17g},{spread:.17g}"
+            for (power, coeff), spread in zip(extracted.terms, extracted.spreads)
+        ]
+        assert out == "\r\n".join(rows) + "\r\n"
 
     def test_subspace_dim_one_predicts_only_the_leading_term(self, capsys):
         code, out, _ = run_cli(capsys, "asymptotics", "--dim", "1", "--metric", "subspace",
@@ -395,6 +419,14 @@ class TestAsymptoticsCommand:
                                "--orders", "2", "--tmin", "10", "--tmax", "80")
         assert code == 2
         assert err.startswith("ValueError: --orders must be between 1 and 1")
+
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_subspace_dim_below_one_names_the_floor_of_one(self, capsys, dim):
+        # Dim 1 is accepted, so the message names 1, not the R^-2 prediction's 2.
+        code, out, err = run_cli(capsys, "asymptotics", "--dim", dim, "--metric", "subspace",
+                                 "--orders", "1", "--tmin", "10", "--tmax", "80")
+        assert (code, out) == (2, "")
+        assert err == f"ValueError: need n >= 1, got {dim}\n"
 
 
 class TestGuard:

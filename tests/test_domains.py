@@ -39,8 +39,10 @@ DIMENSIONS = [
      lambda n: mg.predicted_relative_correction_intrinsic(n)),
     ("predicted_relative_correction_subspace", 2,
      lambda n: mg.predicted_relative_correction_subspace(n)),
-    ("extract_subspace_relative_correction", 2,
-     lambda n: mg.extract_subspace_relative_correction(n, (10.0, 20.0, 40.0))),
+    ("sphere_asymptotics intrinsic", 2,
+     lambda n: mg.sphere_asymptotics("intrinsic", n, (10.0, 20.0, 40.0, 80.0), 3)),
+    ("sphere_asymptotics subspace", 1,
+     lambda n: mg.sphere_asymptotics("subspace", n, (10.0, 20.0, 40.0), 2)),
 ]
 
 DEPTHS = [
@@ -126,3 +128,17 @@ def test_scalar_outside_domain_raises_the_documented_class_naming_it(label, call
     for bad in bad_values:
         with pytest.raises(error, match=name):
             call(bad)
+
+
+@pytest.mark.parametrize("metric", ["geodesic", "chord", ""])
+def test_unknown_asymptotics_metric_is_a_value_error_naming_it(metric):
+    with pytest.raises(ValueError, match=rf"metric must be intrinsic or subspace, got {metric!r}"):
+        mg.sphere_asymptotics(metric, 2, (10.0, 20.0, 40.0, 80.0), 1)
+
+
+@pytest.mark.parametrize("metric, orders", [("intrinsic", 0), ("intrinsic", 4), ("subspace", 0),
+                                            ("subspace", 3)])
+def test_asymptotics_orders_outside_the_fit_is_a_value_error_naming_it(metric, orders):
+    with pytest.raises(ValueError, match=rf"orders must be between 1 and \d for the {metric} metric, "
+                                         rf"got {orders}"):
+        mg.sphere_asymptotics(metric, 3, (10.0, 20.0, 40.0, 80.0), orders)
