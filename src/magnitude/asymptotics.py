@@ -147,8 +147,9 @@ def predicted_expansion_subspace_ratio(n: int) -> AsymptoticExpansion:
 def _neville_limit(u: list[float], g: list[float]) -> tuple[float, float]:
     """Polynomial extrapolation of the points (u_j, g_j) to u = 0.
 
-    Returns the corner value of the Neville tableau and the spread between
-    the two highest-order extrapolants; needs at least two points.  Only the
+    Returns the corner value T of the Neville tableau and its spread, the
+    larger distance from T to the two extrapolants one order below, which
+    drop the first point and the last; needs at least two points.  Only the
     last two levels of the tableau are held.
     """
     cur = g
@@ -157,7 +158,7 @@ def _neville_limit(u: list[float], g: list[float]) -> tuple[float, float]:
             (u[j + m] * cur[j] - u[j] * cur[j + 1]) / (u[j + m] - u[j])
             for j in range(len(cur) - 1)
         ]
-    return cur[0], abs(cur[0] - prev[1])
+    return cur[0], max(abs(cur[0] - prev[0]), abs(cur[0] - prev[1]))
 
 
 def extract_coefficients(

@@ -352,8 +352,8 @@ class TestAsymptoticsCommand:
         # errors carried through the fit, and for the intrinsic metric also
         # the closed form's e^(-pi t) term, which no power of t models (at
         # tmin 8 and dim 2 it moved the constant term by twice its spread).
-        # Near tmin 8 the chord metric's truncation still exceeds its spread
-        # at dim 4, so the subspace cases start further out.
+        # Grids from tmin 1 to 8 are scanned in
+        # tests/test_asymptotics.py::TestSpreadScan.
         from magnitude import asymptotics
 
         dims, orders = {"intrinsic": ((2, 3, 4, 5), 3), "subspace": ((2, 3, 4), 2)}[metric]
