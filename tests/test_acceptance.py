@@ -37,6 +37,7 @@ from magnitude import (
 from magnitude.cli import run
 
 # Identities that the unit tests assert too are defined once, there.
+from test_asymptotics import within_spread
 from test_spheres import geodesic_sphere_expansion_residual, leading_terms_match_prediction
 
 
@@ -145,12 +146,6 @@ def test_criterion_07_exponential_gap(capsys):
         ok &= gap10 < 1e-12 and gap5 < 1e-6
     with capsys.disabled():
         report(ok, "criterion 7: |magnitude - polynomial|/polynomial < 1e-12 at R=10, < 1e-6 at R=5")
-
-
-def within_spread(extracted, exact):
-    """Whether every extracted coefficient lies within its spread of the exact one."""
-    return all(abs(c - value) <= spread
-               for (_, c), spread, value in zip(extracted.terms, extracted.spreads, exact))
 
 
 def test_criterion_08_asymptotic_extraction(capsys):

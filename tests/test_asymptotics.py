@@ -169,10 +169,10 @@ class TestExtraction:
             extract_coefficients(lambda t: t**-2.0, 0, 2, 1, (1e-109, 2e-109, 4e-109, 8e-109))
 
 
-def assert_within_spread(extracted, exact):
-    """Each extracted coefficient lies within its spread of the exact one."""
-    for (power, coeff), spread, value in zip(extracted.terms, extracted.spreads, exact):
-        assert abs(coeff - value) <= spread, (power, coeff, value, spread)
+def within_spread(extracted, exact):
+    """Whether every extracted coefficient lies within its spread of the exact one."""
+    return all(abs(coeff - value) <= spread
+               for (_, coeff), spread, value in zip(extracted.terms, extracted.spreads, exact))
 
 
 class TestSphereExpansionExtraction:
@@ -187,34 +187,33 @@ class TestSphereExpansionExtraction:
             assert extracted.coefficient(n - 2) == pytest.approx(
                 predicted.coefficient(n - 2), abs=1e-6
             )
-            assert_within_spread(extracted, [c for _, c in predicted.terms])
+            assert within_spread(extracted, [c for _, c in predicted.terms])
 
     def test_surface_reproduces_area_and_euler(self):
         extracted = sphere_asymptotics("intrinsic", 2, GRID, 3)
         assert extracted.coefficient(2) == pytest.approx(2.0, abs=1e-8)
         assert extracted.coefficient(0) == pytest.approx(2.0, abs=1e-6)
-        assert_within_spread(extracted, [2.0, 0.0, 2.0])
+        assert within_spread(extracted, [2.0, 0.0, 2.0])
 
 
 class TestSubspaceCorrection:
     def test_three_sphere_within_two_percent(self):
         extracted = sphere_asymptotics("subspace", 3, (20.0, 40.0, 80.0), 2)
         assert extracted.coefficient(-2) == pytest.approx(1.5, rel=0.02)
-        assert_within_spread(extracted, [1.0, 1.5])
+        assert within_spread(extracted, [1.0, 1.5])
 
     def test_two_sphere_coefficient_vanishes(self):
         extracted = sphere_asymptotics("subspace", 2, (20.0, 40.0, 80.0), 2)
         assert abs(extracted.coefficient(-2)) < 1e-3
-        assert_within_spread(extracted, [1.0, 0.0])
+        assert within_spread(extracted, [1.0, 0.0])
 
 
 class TestSpreadScan:
     # Doubling grids from every tmin to every tmax, dims 1-8, every order
-    # the prediction has: 756 coefficients.  The spread compares the Neville
-    # limit with the extrapolants that drop the smallest and the largest t;
-    # with only the first of those, 85 of them missed.  Three still miss: two
-    # on the 4-point intrinsic dim-8 grids (t^6 is 1.6e-7 off at tmin 8,
-    # against a spread of 1.6e-14), one marginal on the chord metric.
+    # the prediction has: 756 coefficients.  The spread must see the largest
+    # t as well as the smallest.  Three still miss: two on the 4-point
+    # intrinsic dim-8 grids (t^6 is 1.6e-7 off at tmin 8, against a spread
+    # of 1.6e-14), one marginal on the chord metric.
     KNOWN_MISSES = {("intrinsic", 8, 6, 64, 6), ("intrinsic", 8, 8, 64, 6),
                     ("subspace", 7, 1.5, 256, 0)}
 
