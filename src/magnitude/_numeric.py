@@ -4,13 +4,12 @@ tolerances and the base of the package's value types, shared across modules.
 The numerical helpers guard against catastrophic cancellation near zero by
 switching to a series branch; the crossover thresholds are chosen so that
 the truncation error of the series sits far below double-precision
-roundoff.  The checks state the package's domain rules once: an integer
-dimension or depth at least some least value, a positive finite length,
-radius, scale or tolerance, and (_guarded) a result in the double range.
-The quadrature settings live here, not in quadrature, so that code which
-only passes them on (asymptotics, the CLI) does not import numpy; so do the
-grids of line approximations and sweeps (linspace, geomspace).  The module
-needs only the standard library.
+roundoff.  The two checks state the domain rules of the package once: an
+integer dimension or depth at least some least value, and a positive finite
+length, radius, scale or tolerance.  The quadrature settings live here,
+not in quadrature, so that code which only passes them on (asymptotics, the
+CLI) does not import numpy; so do the grids of line approximations and
+sweeps (linspace, geomspace).  The module needs only the standard library.
 """
 
 import math

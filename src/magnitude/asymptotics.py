@@ -147,10 +147,9 @@ def predicted_expansion_subspace_ratio(n: int) -> AsymptoticExpansion:
 def _neville_limit(u: list[float], g: list[float]) -> tuple[float, float]:
     """Polynomial extrapolation of the points (u_j, g_j) to u = 0.
 
-    Returns the corner value T of the Neville tableau and its spread, the
-    larger distance from T to the two extrapolants one order below, which
-    drop the first point and the last; needs at least two points.  Only the
-    last two levels of the tableau are held.
+    Returns the tableau's corner value T and its spread, the larger distance
+    from T to the extrapolants that drop the first and the last point; needs
+    at least two points.  Only the last two levels of the tableau are held.
     """
     cur = g
     for m in range(1, len(u)):  # m is the interpolation depth of the next level
